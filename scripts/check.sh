@@ -14,7 +14,9 @@
 # unit tests plus the zero-steady-state-allocation solve gates) and the
 # comm-verifier suite ("commcheck": adversarial injection tests for the
 # collective-matching/deadlock/leak checker plus clean solver sweeps).
-# A gcc -fanalyzer pass over the transport layer (scripts/analyze.sh,
+# The benchmark harness's own smoke tests (hplbench/test_hplbench.py: tiny
+# solves of every workload, metric sets, trace output) run next, then a
+# gcc -fanalyzer pass over the transport layer (scripts/analyze.sh,
 # baseline-gated) closes out the default build's steps.
 # This is what CI runs and what a perf PR must keep green.
 #
@@ -47,6 +49,9 @@ ctest --test-dir "$build" --output-on-failure -j "$jobs" -L alloc
 
 echo "== commcheck gate: ctest -L commcheck ($build)"
 ctest --test-dir "$build" --output-on-failure -j "$jobs" -L commcheck
+
+echo "== benchmark harness: python3 hplbench/test_hplbench.py"
+(cd "$repo" && python3 hplbench/test_hplbench.py)
 
 if [ "${SKIP_ANALYZE:-0}" = "1" ]; then
   echo "== skipping static-analyzer pass (SKIP_ANALYZE=1)"

@@ -36,6 +36,29 @@ constexpr int kTagTrace = 201;
 constexpr int kTagHazard = 202;
 constexpr int kTagComm = 203;
 
+/// Gather every rank's records onto rank 0, appended after rank 0's own
+/// in rank order: one count message, then the payload, per rank, all on
+/// `tag`. Rank 0 gets the merged list; every other rank gets its own
+/// records back.
+template <typename Rec>
+std::vector<Rec> gather_to_root(comm::Communicator& world,
+                                std::vector<Rec> mine, int tag) {
+  if (world.rank() != 0) {
+    const long count = static_cast<long>(mine.size());
+    world.send(&count, 1, 0, tag);
+    if (count > 0) world.send(mine.data(), mine.size(), 0, tag);
+    return mine;
+  }
+  for (int r = 1; r < world.size(); ++r) {
+    long c = 0;
+    world.recv(&c, 1, r, tag);
+    const std::size_t at = mine.size();
+    mine.resize(at + static_cast<std::size_t>(c));
+    if (c > 0) world.recv(mine.data() + at, static_cast<std::size_t>(c), r, tag);
+  }
+  return mine;
+}
+
 /// Per-iteration phase accumulators (the Fig. 7 timers).
 struct IterStats {
   double fact = 0.0;
@@ -82,7 +105,7 @@ class Solver {
     for (RowSwapperT<T>* rs : {&rs_main_, &rs_la_, &rs_left_,
                                rs_right_.get(), rs_right_next_.get()}) {
       rs->reserve(dev_.host_arena(), cfg.nb, a_.nloc(), cfg.p);
-      rs->set_pipeline(cfg.swap_wire, swap_chunk_bytes);
+      rs->set_chunk_bytes(swap_chunk_bytes);
       rs->set_pivot_mode(cfg.pivoting);
       rs->set_test_skip_scatter_fence(cfg.test_skip_scatter_fence);
     }
@@ -131,14 +154,6 @@ class Solver {
     // against the host reads below (per-stream clocks, verification).
     pool_.synchronize();
     data_.synchronize();
-
-    if (std::getenv("HPLX_DEBUG_DUMP") != nullptr) {
-      for (long jl = 0; jl < a_.nloc(); ++jl)
-        for (long il = 0; il < a_.mloc(); ++il)
-          std::fprintf(stderr, "DUMP %d %ld %ld %.17g\n",
-                       grid_.all_comm().rank(), il, jl,
-                       static_cast<double>(*a_.at(il, jl)));
-    }
 
     // Backsolve U x = b̂ and (optionally) verify against regenerated data.
     double solve_mpi = 0.0;
@@ -415,15 +430,13 @@ class Solver {
     // fabric this rank touches, while the fills still count as warmup.
     // Device and arena pools are skipped: their lease sizes are
     // deterministic max-extent functions of the iteration, so warmup
-    // already covers them. The bound: a chunked swap buffer is capped at
-    // max(chunk, one grain = one packed matrix row incl. the B columns);
-    // the bulk (seed) path ships a whole nb-row contribution at once.
+    // already covers them. The bound: a swap chunk is capped at
+    // max(chunk, one wire column), and one matrix row incl. the B columns
+    // is at least a wire column.
     const std::size_t row_bytes =
         static_cast<std::size_t>(cfg_.n + cfg_.nrhs) * sizeof(T);
     const std::size_t swap_bound =
-        swap_chunk_bytes_ >= 0
-            ? std::max(static_cast<std::size_t>(swap_chunk_bytes_), row_bytes)
-            : static_cast<std::size_t>(cfg_.nb) * row_bytes;
+        std::max(static_cast<std::size_t>(swap_chunk_bytes_), row_bytes);
     for (comm::Communicator* c :
          {&grid_.all_comm(), &grid_.row_comm(), &grid_.col_comm()}) {
       c->fabric().pool().allocator().prewarm(kPrewarmBlocks, swap_bound);
@@ -539,7 +552,7 @@ class Solver {
     rs_main_.prepare(plan_, a_, grid_.myrow(), jl0, njl, cfg_.swap,
                      cfg_.swap_threshold);
     rs_main_.gather(compute_, a_);
-    rs_main_.communicate(grid_.col_comm(), &st.mpi, &compute_,
+    rs_main_.communicate(grid_.col_comm(), &st.mpi, compute_,
                          u_main_.template data_as<T>(), cfg_.nb, &st.rs);
     rs_main_.scatter(compute_, a_, u_main_.template data_as<T>(), cfg_.nb);
     const device::Event u_ready = compute_.record();
@@ -582,7 +595,7 @@ class Solver {
                          a_.nloc() - right_start_, cfg_.swap,
                          cfg_.swap_threshold);
       rs_right_->gather(compute_, a_);
-      rs_right_->communicate(grid_.col_comm(), &st.mpi, &compute_,
+      rs_right_->communicate(grid_.col_comm(), &st.mpi, compute_,
                              u_right_.template data_as<T>(), cfg_.nb,
                              &st.rs);
       pending_right = true;
@@ -653,7 +666,7 @@ class Solver {
       rs_main_.prepare(plan_, a_, grid_.myrow(), jl0, njl, cfg_.swap,
                      cfg_.swap_threshold);
       rs_main_.gather(compute_, a_);
-      rs_main_.communicate(grid_.col_comm(), &st.mpi, &compute_, u, cfg_.nb,
+      rs_main_.communicate(grid_.col_comm(), &st.mpi, compute_, u, cfg_.nb,
                            &st.rs);
       rs_main_.scatter(compute_, a_, u, cfg_.nb);
     }
@@ -758,7 +771,7 @@ class Solver {
     }
 
     // Look-ahead: swap, update on the primary, stage to host.
-    rs_la_.communicate(grid_.col_comm(), &st.mpi, &compute_,
+    rs_la_.communicate(grid_.col_comm(), &st.mpi, compute_,
                        u_la_.template data_as<T>(), cfg_.nb, &st.rs);
     rs_la_.scatter(compute_, a_, u_la_.template data_as<T>(), cfg_.nb);
     const device::Event la_ready = compute_.record();
@@ -797,7 +810,7 @@ class Solver {
     // ... and the RS1 communication (its rows were gathered up front). The
     // fused unpacks land on the primary and only write u_left_, which
     // nothing reads until UPDATE1's bands (gated on left_ready below).
-    rs_left_.communicate(grid_.col_comm(), &st.mpi, &compute_,
+    rs_left_.communicate(grid_.col_comm(), &st.mpi, compute_,
                          u_left_.template data_as<T>(), cfg_.nb, &st.rs);
 
     // After UPDATE2: gather the next panel's right-section rows (RS2).
@@ -829,7 +842,7 @@ class Solver {
     // update2.join(compute_), so they stay ordered behind this
     // iteration's reads of u_right_.
     if (has_next) {
-      rs_right_next_->communicate(grid_.col_comm(), &st.mpi, &compute_,
+      rs_right_next_->communicate(grid_.col_comm(), &st.mpi, compute_,
                                   u_right_.template data_as<T>(), cfg_.nb,
                                   &st.rs);
       right_start_ = next_right_start;
@@ -848,58 +861,26 @@ class Solver {
   // --------------------------------------------------------------- trace
 
   void collect_trace(HplResult& result) {
-    comm::Communicator& world = grid_.all_comm();
-    const long count = static_cast<long>(my_records_.size());
-    if (world.rank() == 0) {
-      std::vector<trace::IterationRecord> all = my_records_;
-      for (int r = 1; r < world.size(); ++r) {
-        long c = 0;
-        world.recv(&c, 1, r, kTagTrace);
-        std::vector<trace::IterationRecord> theirs(
-            static_cast<std::size_t>(c));
-        if (c > 0) world.recv(theirs.data(), theirs.size(), r, kTagTrace);
-        all.insert(all.end(), theirs.begin(), theirs.end());
-      }
-      std::sort(all.begin(), all.end(),
-                [](const auto& x, const auto& y) {
-                  return x.iteration < y.iteration;
-                });
-      result.trace.iterations = std::move(all);
-    } else {
-      world.send(&count, 1, 0, kTagTrace);
-      if (count > 0)
-        world.send(my_records_.data(), my_records_.size(), 0, kTagTrace);
-    }
+    std::vector<trace::IterationRecord> all =
+        gather_to_root(grid_.all_comm(), my_records_, kTagTrace);
+    if (grid_.all_comm().rank() != 0) return;
+    std::sort(all.begin(), all.end(), [](const auto& x, const auto& y) {
+      return x.iteration < y.iteration;
+    });
+    result.trace.iterations = std::move(all);
   }
 
-  /// Gather every rank's deduplicated hazard records onto rank 0 (same
-  /// shape as collect_trace). No-op when checking is off.
+  /// Gather every rank's deduplicated hazard records onto rank 0. No-op
+  /// when checking is off.
   void collect_hazards(HplResult& result) {
     device::HazardTracker* hz = dev_.hazard();
     if (hz == nullptr) return;
     result.hazard_checked = true;
-    std::vector<trace::HazardRecord> mine = hz->report();
-    comm::Communicator& world = grid_.all_comm();
-    if (world.rank() == 0) {
-      result.hazards = std::move(mine);
-      for (int r = 1; r < world.size(); ++r) {
-        long c = 0;
-        world.recv(&c, 1, r, kTagHazard);
-        std::vector<trace::HazardRecord> theirs(static_cast<std::size_t>(c));
-        if (c > 0) world.recv(theirs.data(), theirs.size(), r, kTagHazard);
-        result.hazards.insert(result.hazards.end(), theirs.begin(),
-                              theirs.end());
-      }
-    } else {
-      const long count = static_cast<long>(mine.size());
-      world.send(&count, 1, 0, kTagHazard);
-      if (count > 0) world.send(mine.data(), mine.size(), 0, kTagHazard);
-      result.hazards = std::move(mine);
-    }
+    result.hazards = gather_to_root(grid_.all_comm(), hz->report(), kTagHazard);
   }
 
   /// Gather every grid fabric's deduplicated comm-verifier records onto
-  /// rank 0 (same shape as collect_hazards). The double-barrier protocol
+  /// rank 0 (through gather_to_root). The double-barrier protocol
   /// makes the end-of-run orphan audit exact: after the first barrier all
   /// solve traffic is consumed (entering the barrier implies every prior
   /// receive finished, so anything still queued is a leak), and each
@@ -912,7 +893,7 @@ class Solver {
     if (world.fabric().verifier() == nullptr) return;
     result.comm_checked = true;
     comm::barrier(world);
-    std::vector<trace::CommViolationRecord> mine;
+    std::vector<trace::DiagnosticRecord> mine;
     std::vector<const comm::Fabric*> audited;
     for (comm::Communicator* c :
          {&grid_.all_comm(), &grid_.row_comm(), &grid_.col_comm()}) {
@@ -928,23 +909,7 @@ class Solver {
       mine.insert(mine.end(), recs.begin(), recs.end());
     }
     comm::barrier(world);
-    if (world.rank() == 0) {
-      result.comm_violations = std::move(mine);
-      for (int r = 1; r < world.size(); ++r) {
-        long c = 0;
-        world.recv(&c, 1, r, kTagComm);
-        std::vector<trace::CommViolationRecord> theirs(
-            static_cast<std::size_t>(c));
-        if (c > 0) world.recv(theirs.data(), theirs.size(), r, kTagComm);
-        result.comm_violations.insert(result.comm_violations.end(),
-                                      theirs.begin(), theirs.end());
-      }
-    } else {
-      const long count = static_cast<long>(mine.size());
-      world.send(&count, 1, 0, kTagComm);
-      if (count > 0) world.send(mine.data(), mine.size(), 0, kTagComm);
-      result.comm_violations = std::move(mine);
-    }
+    result.comm_violations = gather_to_root(world, std::move(mine), kTagComm);
   }
 
   const HplConfig& cfg_;
@@ -985,7 +950,7 @@ class Solver {
   double real0_[trace::kMaxUpdateStreams] = {};
 
   // Steady-window allocation accounting (mark_steady / finish_steady).
-  long swap_chunk_bytes_ = -1;  ///< resolved RS chunk (prewarm bound)
+  long swap_chunk_bytes_ = 0;  ///< resolved RS chunk (prewarm bound)
   bool steady_marked_ = false;
   bool steady_measured_ = false;
   std::uint64_t steady_upstream0_ = 0;
@@ -1056,6 +1021,9 @@ HplResult run_hpl(comm::Communicator& world, const HplConfig& cfg) {
                  "run_hpl needs " << cfg.p * cfg.q << " ranks, got "
                  << world.size());
   HPLX_CHECK(cfg.n >= 1 && cfg.nb >= 1 && cfg.nrhs >= 1);
+  HPLX_CHECK_MSG(cfg.swap_chunk_bytes >= 0,
+                 "swap_chunk_bytes must be >= 0 (0 = autotune), got "
+                 << cfg.swap_chunk_bytes);
   // The multi-RHS solve (backsolve, verify, refine) assumes every RHS
   // column shares the trailing column block with classic column N, so one
   // process column owns the whole b̂ panel contiguously.
@@ -1081,7 +1049,7 @@ HplResult run_hpl(comm::Communicator& world, const HplConfig& cfg) {
   device::configure_engine({tile_cols, cfg.kernel_threads});
   // swap_chunk_bytes = 0 likewise resolves through the startup probe (the
   // same kernel timings pick the chunk that balances unpack grain against
-  // per-chunk latency); negative values pin the unchunked seed path.
+  // per-chunk latency).
   long chunk_bytes = cfg.swap_chunk_bytes;
   if (chunk_bytes == 0) chunk_bytes = device::autotune_swap_chunk_bytes();
   HplResult result;

@@ -15,11 +15,17 @@
 /// other section starts, the MPI happens while the device is busy, and the
 /// scatter is enqueued behind it.
 ///
+/// There is one transport. Every wire segment (one rank's U rows, one
+/// destination's displaced rows) is an nr×njl column-major block packed by
+/// device::row_gather and unpacked by device::row_scatter with ld = nr.
+/// The U allgatherv runs chunked, and each landed chunk — a whole number
+/// of wire columns — is unpacked into U as it arrives, overlapping
+/// deserialization with the rest of the wire traffic.
+///
 /// RowSwapperT is a template over the element type: all staging buffers,
 /// wire counts, grains and chunk offsets are sized in sizeof(T), so the
-/// fp32 (MxP) pipeline's swap traffic is exactly half the fp64 bytes —
-/// on top of the 2x the transposed wire format already saves in unpack
-/// cost. The *plan* (pure index math) is precision-independent and shared.
+/// fp32 (MxP) pipeline's swap traffic is exactly half the fp64 bytes.
+/// The *plan* (pure index math) is precision-independent and shared.
 
 #include <utility>
 #include <vector>
@@ -61,12 +67,11 @@ void build_rowswap_plan(long j, int jb, const long* ipiv, RowSwapPlan& plan);
 
 /// Per-call timing of one communicate(): how long the U assembly spent on
 /// the wire and how much device unpack work was fused into the delivery
-/// (modeled seconds). unpack_s > 0 only on the pipelined path; the ratio
-/// min(unpack, wire)/wire is the overlap efficiency the report prints.
+/// (modeled seconds). The ratio min(unpack, wire)/wire is the overlap
+/// efficiency the report prints.
 struct RowSwapStats {
   double wire_s = 0.0;    ///< wall seconds inside the U-assembly collective
   double unpack_s = 0.0;  ///< modeled device seconds of fused chunk unpacks
-  bool fused = false;     ///< per-chunk unpacks were enqueued on delivery
   /// Bytes this window's swap collectives put on the wire (U-assembly
   /// allgatherv total + displaced scatterv). Stays zero on the no-pivot
   /// path — its U replication is a plain panel broadcast charged to comm
@@ -108,16 +113,11 @@ class RowSwapperT {
   /// sections' scatters) never delays this section's communication hop.
   void gather(device::Stream& stream, DistMatrixT<T>& a);
 
-  /// Select the wire format and chunk size for the U-assembly broadcast.
-  /// chunk_bytes < 0 disables chunking (seed blocking collective + bulk
-  /// unpack in scatter()); >= 0 splits the allgatherv into chunks of at
-  /// most that many bytes (0 = one chunk per segment) and, when
-  /// communicate() is given a stream and U destination, enqueues each
-  /// chunk's unpack as it lands. Call once before the first prepare().
-  void set_pipeline(SwapWireFormat wire, long chunk_bytes) {
-    wire_ = wire;
-    chunk_bytes_ = chunk_bytes;
-  }
+  /// Chunk size for the U-assembly allgatherv: chunks of at most this
+  /// many bytes, rounded to whole wire columns (0 = one chunk per rank
+  /// segment; must be >= 0). Any value gives bitwise-identical U. Call
+  /// once before the first prepare().
+  void set_chunk_bytes(long chunk_bytes) { chunk_bytes_ = chunk_bytes; }
 
   /// No-pivot mode (HplConfig::pivoting == PivotMode::None): the factored
   /// U *is* the top block — nothing was swapped, nothing is displaced. The
@@ -134,22 +134,21 @@ class RowSwapperT {
   /// pack). Adds the time spent inside communication calls to
   /// *mpi_seconds.
   ///
-  /// Pipelined form: when chunking is enabled (set_pipeline) and `stream`
-  /// / `u_dev` are non-null, the U allgatherv runs chunked and the device
-  /// unpack of each landed chunk is enqueued on `stream` immediately —
-  /// deserialization overlaps the remaining wire traffic, and scatter()
-  /// skips the bulk U unpack. `stream` must be the same stream scatter()
-  /// is called with (its fence covers the fused unpacks). `stats`, when
-  /// non-null, receives wire/unpack seconds for the overlap report.
+  /// The U allgatherv runs chunked and the device unpack of each landed
+  /// chunk into `u_dev` (jb × njl, ld = ldu >= jb, pivot order) is
+  /// enqueued on `stream` immediately. `stream` must be the same stream
+  /// scatter() is called with (its fence covers these unpacks). `stats`,
+  /// when non-null, receives wire/unpack seconds for the overlap report.
   void communicate(comm::Communicator& col_comm, double* mpi_seconds,
-                   device::Stream* stream = nullptr, T* u_dev = nullptr,
-                   long ldu = 0, RowSwapStats* stats = nullptr);
+                   device::Stream& stream, T* u_dev, long ldu,
+                   RowSwapStats* stats = nullptr);
 
-  /// Stage 3: enqueue the device scatters: displaced rows into A, and the
-  /// replicated U (jb × njl, ld >= jb) assembled in pivot order. Records a
+  /// Stage 3: enqueue the device scatter of the displaced rows into A (in
+  /// no-pivot mode: land the broadcast top block in `u_dev`). Records a
   /// completion event; the next cycle's prepare() waits on it before it
   /// resizes or lets communicate() rewrite the staging buffers these
-  /// kernels read (they capture raw pointers at enqueue time).
+  /// kernels — and communicate()'s U unpacks — read (they capture raw
+  /// pointers at enqueue time).
   void scatter(device::Stream& stream, DistMatrixT<T>& a, T* u_dev,
                long ldu);
 
@@ -169,7 +168,7 @@ class RowSwapperT {
 
  private:
   void do_communicate(comm::Communicator& col_comm, double* mpi_seconds,
-                      device::Stream* stream, T* u_dev, long ldu,
+                      device::Stream& stream, T* u_dev, long ldu,
                       RowSwapStats* stats);
 
   long j_ = 0;
@@ -181,10 +180,8 @@ class RowSwapperT {
   int diag_root_ = 0;
   bool in_diag_row_ = false;
   comm::AllgatherAlgo u_algo_ = comm::AllgatherAlgo::Ring;
-  SwapWireFormat wire_ = SwapWireFormat::RowMajor;
-  bool nopiv_ = false;     ///< no-pivot mode: broadcast-only U replication
-  long chunk_bytes_ = -1;  ///< < 0: seed path (blocking + bulk unpack)
-  bool fused_delivered_ = false;  ///< this window's U unpacks already enqueued
+  bool nopiv_ = false;    ///< no-pivot mode: broadcast-only U replication
+  long chunk_bytes_ = 0;  ///< U allgatherv chunk (0 = one per segment)
   bool test_skip_scatter_fence_ = false;
   /// The owning device's hazard tracker (null when checking is off);
   /// latched from the stream in gather().
@@ -204,14 +201,14 @@ class RowSwapperT {
   std::vector<long> my_u_slots_;        ///< local rows of my U sources
   std::vector<long> u_dest_of_packed_;  ///< U row k for each packed position
   std::vector<std::size_t> u_counts_, u_displs_;  ///< allgatherv (bytes)
-  device::ArenaBufT<T> my_u_;       ///< packed rows I contribute (wire format)
-  device::ArenaBufT<T> gathered_u_; ///< all jb rows, rank-packed (wire fmt)
+  device::ArenaBufT<T> my_u_;       ///< my U rows, one nr×njl wire block
+  device::ArenaBufT<T> gathered_u_; ///< all jb rows, rank-major wire blocks
 
   // Displaced rows.
   std::vector<long> disp_src_slots_;   ///< diag row only: local top rows
   std::vector<std::size_t> disp_counts_;
   std::vector<long> my_disp_dest_slots_;  ///< local destination rows
-  device::ArenaBufT<T> disp_send_;  ///< diag row: rows packed in rank order
+  device::ArenaBufT<T> disp_send_;  ///< diag row: one wire block per rank
   device::ArenaBufT<T> disp_recv_;
 };
 

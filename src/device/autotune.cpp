@@ -47,6 +47,8 @@ ProbeResult run_probe() {
                                         kProbeRows;
   std::sort(rows.begin(), rows.end());
   rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  // The swap's wire block: nr×cols, column-major, ld = nr.
+  const long nr = static_cast<long>(rows.size());
 
   const long candidates[] = {64, 128, 256, 512, 1024};
   long best = entry.tile_cols > 0 ? entry.tile_cols : 256;
@@ -55,20 +57,18 @@ ProbeResult run_probe() {
     configure_engine({cand, entry.threads});
     // Warm-up pass so first-touch and team wake-up cost is not billed to
     // the first candidate.
-    pack_rows(s, a.data(), kProbeRows, rows, kProbeCols, packed.data());
+    row_gather(s, a.data(), kProbeRows, rows, kProbeCols, packed.data(), nr);
     s.synchronize();
     Timer t;
     t.start();
-    // Both wire formats round-trip: the winner must serve the row-major
-    // pack/unpack pair *and* the column-major pair the pipelined broadcast
-    // unpacks with (the receive side is the measured slowest swap kernel,
-    // so its timing belongs in the vote).
+    // Gather/scatter round trips: the pack and unpack of the swap's wire
+    // block (the receive side is the measured slowest swap kernel, so its
+    // timing belongs in the vote).
     for (int rep = 0; rep < kProbeReps; ++rep) {
-      pack_rows(s, a.data(), kProbeRows, rows, kProbeCols, packed.data());
-      unpack_rows(s, packed.data(), rows, kProbeCols, a.data(), kProbeRows);
-      pack_rows_cm(s, a.data(), kProbeRows, rows, kProbeCols, packed.data());
-      unpack_rows_cm(s, packed.data(), rows, kProbeCols, a.data(),
-                     kProbeRows);
+      row_gather(s, a.data(), kProbeRows, rows, kProbeCols, packed.data(),
+                 nr);
+      row_scatter(s, a.data(), kProbeRows, rows, kProbeCols, packed.data(),
+                  nr);
     }
     s.synchronize();
     const double dt = t.stop();
@@ -78,19 +78,19 @@ ProbeResult run_probe() {
     }
   }
 
-  // Chunk size for the pipelined broadcast: measure unpack_rows_cm
+  // Chunk size for the pipelined broadcast: measure row_scatter
   // throughput at the winning width and size the chunk so one fused
   // unpack costs ~50 µs of host work — comfortably above per-chunk
   // enqueue overhead, well below a full U segment at HPL shapes.
   ProbeResult out;
   out.tile_cols = best;
   configure_engine({best, entry.threads});
-  unpack_rows_cm(s, packed.data(), rows, kProbeCols, a.data(), kProbeRows);
+  row_scatter(s, a.data(), kProbeRows, rows, kProbeCols, packed.data(), nr);
   s.synchronize();
   Timer t;
   t.start();
   for (int rep = 0; rep < kProbeReps; ++rep)
-    unpack_rows_cm(s, packed.data(), rows, kProbeCols, a.data(), kProbeRows);
+    row_scatter(s, a.data(), kProbeRows, rows, kProbeCols, packed.data(), nr);
   s.synchronize();
   const double per_rep = t.stop() / kProbeReps;
   const double wire_bytes = static_cast<double>(rows.size()) * kProbeCols *

@@ -5,9 +5,9 @@
 /// The best swap_tile_cols (EngineConfig::tile_cols) depends on cache
 /// sizes and core count of the host actually running the simulated
 /// kernels, not on the problem: it bounds the per-tile working set of the
-/// row-swap pack/unpack kernels and sets their parallel grain. Rather than
+/// row-swap gather/scatter kernels and sets their parallel grain. Rather than
 /// ship a magic constant, HPL.dat's `swap_tile_cols 0` asks for a ~10 ms
-/// measured probe: each candidate width runs a few pack+unpack round
+/// measured probe: each candidate width runs a few gather+scatter round
 /// trips — the dlaswp-shaped traffic of Fig. 4 — on a throwaway device,
 /// and the fastest width wins.
 
@@ -21,7 +21,7 @@ namespace hplx::device {
 long autotune_swap_tile_cols();
 
 /// Chunk size (bytes) for the pipelined row-swap broadcast, derived from
-/// the same one-shot probe: the measured unpack_rows_cm throughput picks a
+/// the same one-shot probe: the measured row_scatter throughput picks a
 /// chunk whose fused unpack takes a few tens of microseconds — large
 /// enough to amortize per-chunk enqueue overhead, small enough that
 /// deserialization pipelines against the remaining wire traffic. Shares

@@ -220,16 +220,16 @@ void copy_matrix_d2h(Stream& s, long m, long n, const T* src, long lds,
   strided_hcopy(s, "copy_matrix_d2h", m, n, src, lds, dst, ldd);
 }
 
-// The row-swap kernels below all iterate column-by-column inside a tile,
-// with the row list in the inner loop: every inner iteration touches a
-// single column of the column-major matrix (one contiguous lda-spaced
-// region, so nearby pivot rows share cache lines) and the packed side is
-// walked at unit or tile-bounded stride. The seed kernels iterated rows
+// The row-swap kernels below iterate column-by-column inside a tile, with
+// the row list in the inner loop: every inner iteration touches a single
+// column of the column-major matrix (one contiguous lda-spaced region, so
+// nearby pivot rows share cache lines) and the packed side is walked
+// inside one short, cache-resident column. The seed kernels iterated rows
 // outermost with columns inside — one cache line touched per element at
-// HPL trailing-window widths. Gather-side kernels additionally visit
-// their source rows in ascending address order (the row list is sorted
-// once per call) so each column is read as a monotone sweep the hardware
-// prefetcher can follow instead of a random walk.
+// HPL trailing-window widths. Both kernels visit the matrix rows in
+// ascending address order (the row list is sorted once per call) so each
+// column is a monotone sweep the hardware prefetcher can follow instead
+// of a random walk.
 
 namespace {
 /// (sorted source row, original slot) pairs for a gather row list.
@@ -326,188 +326,6 @@ void row_scatter(Stream& s, T* a, long lda, std::vector<long> rows, long n,
   });
 }
 
-template <typename T>
-void pack_rows(Stream& s, const T* a, long lda, std::vector<long> rows,
-               long n, T* out_rowmajor) {
-  if (rows.empty() || n <= 0) return;
-  const double modeled = s.device().model().rowswap_seconds(
-      static_cast<long>(rows.size()), n, sizeof(T));
-  auto order = sorted_rows(rows);
-  const long rmin = order.front().first;
-  const long rmax = order.back().first;
-  const long nr0 = static_cast<long>(order.size());
-  s.enqueue_annotated(
-      modeled, "pack_rows",
-      {span_matrix(a + rmin, rmax - rmin + 1, n, lda, false),
-       span_write(out_rowmajor,
-                  static_cast<std::size_t>(nr0) * static_cast<std::size_t>(n))},
-      [=, order = std::move(order)] {
-    const long nr = static_cast<long>(order.size());
-    const std::pair<long, long>* op = order.data();
-    // Column-major ↔ row-major crossing goes through a per-thread scratch
-    // tile: stage 1 gathers down contiguous matrix columns in ascending
-    // row order (the expensive, cache-line-wasting side of the seed loop),
-    // stage 2 transposes the L2-resident tile into the wire rows. Either
-    // stage alone would stride a cold array per element.
-    run_column_tiles(n, [&](long c0, long c1) {
-      const long tc = c1 - c0;
-      static thread_local std::vector<T> scratch;
-      if (static_cast<long>(scratch.size()) < nr * tc)
-        scratch.resize(static_cast<std::size_t>(nr) * tc);
-      T* t = scratch.data();
-      for (long c = c0; c < c1; ++c) {
-        const T* acol = a + c * lda;
-        T* tcol = t + (c - c0) * nr;
-        for (long i = 0; i < nr; ++i) {
-          prefetch_row(acol, op, i, nr);
-          tcol[i] = acol[op[i].first];
-        }
-      }
-      // Scratch slot i holds sorted-order row i; route it to its original
-      // wire slot while reading the tile at unit stride per destination.
-      for (long i = 0; i < nr; ++i) {
-        T* orow = out_rowmajor + op[i].second * n;
-        for (long c = c0; c < c1; ++c) orow[c] = t[i + (c - c0) * nr];
-      }
-    });
-  });
-}
-
-template <typename T>
-void unpack_rows(Stream& s, const T* in_rowmajor, std::vector<long> rows,
-                 long n, T* a, long lda) {
-  if (rows.empty() || n <= 0) return;
-  const double modeled = s.device().model().rowswap_seconds(
-      static_cast<long>(rows.size()), n, sizeof(T));
-  auto order = sorted_rows(rows);
-  const long rmin = order.front().first;
-  const long rmax = order.back().first;
-  const long nr0 = static_cast<long>(order.size());
-  s.enqueue_annotated(
-      modeled, "unpack_rows",
-      {span_read(in_rowmajor,
-                 static_cast<std::size_t>(nr0) * static_cast<std::size_t>(n)),
-       span_matrix(a + rmin, rmax - rmin + 1, n, lda, true)},
-      [=, order = std::move(order)] {
-    const long nr = static_cast<long>(order.size());
-    const std::pair<long, long>* op = order.data();
-    // Scatter each column in ascending destination order (rows are
-    // distinct, so the reorder cannot change which write wins). The wire
-    // reads in[i*n + c] look strided, but one cache line per wire row
-    // covers several successive c — across a column tile the whole jb-line
-    // working set stays resident, so only the first column of every
-    // line-wide group misses.
-    run_column_tiles(n, [&](long c0, long c1) {
-      for (long c = c0; c < c1; ++c) {
-        T* acol = a + c * lda;
-        for (long i = 0; i < nr; ++i) {
-          prefetch_row_w(acol, op, i, nr);
-          acol[op[i].first] = in_rowmajor[op[i].second * n + c];
-        }
-      }
-    });
-  });
-}
-
-template <typename T>
-void pack_rows_cm(Stream& s, const T* a, long lda, std::vector<long> rows,
-                  long n, T* out_colmajor) {
-  if (rows.empty() || n <= 0) return;
-  const double modeled = s.device().model().rowswap_seconds(
-      static_cast<long>(rows.size()), n, sizeof(T));
-  auto order = sorted_rows(rows);
-  const long rmin = order.front().first;
-  const long rmax = order.back().first;
-  const long nr0 = static_cast<long>(order.size());
-  s.enqueue_annotated(
-      modeled, "pack_rows_cm",
-      {span_matrix(a + rmin, rmax - rmin + 1, n, lda, false),
-       span_write(out_colmajor,
-                  static_cast<std::size_t>(nr0) * static_cast<std::size_t>(n))},
-      [=, order = std::move(order)] {
-    const long nr = static_cast<long>(order.size());
-    const std::pair<long, long>* op = order.data();
-    // No layout crossing: reads sweep each matrix column upward in sorted
-    // row order, and the shuffled writes land inside one nr-length wire
-    // column (cache-resident). pack_rows needs a scratch transpose tile to
-    // get this access pattern; the column-major wire gets it for free.
-    run_column_tiles(n, [&](long c0, long c1) {
-      for (long c = c0; c < c1; ++c) {
-        const T* acol = a + c * lda;
-        T* ocol = out_colmajor + c * nr;
-        for (long i = 0; i < nr; ++i) {
-          prefetch_row(acol, op, i, nr);
-          ocol[op[i].second] = acol[op[i].first];
-        }
-      }
-    });
-  });
-}
-
-template <typename T>
-void unpack_rows_cm(Stream& s, const T* in_colmajor, std::vector<long> rows,
-                    long n, T* a, long lda) {
-  if (rows.empty() || n <= 0) return;
-  const double modeled = s.device().model().rowswap_seconds(
-      static_cast<long>(rows.size()), n, sizeof(T));
-  auto order = sorted_rows(rows);
-  const long rmin = order.front().first;
-  const long rmax = order.back().first;
-  const long nr0 = static_cast<long>(order.size());
-  s.enqueue_annotated(
-      modeled, "unpack_rows_cm",
-      {span_read(in_colmajor,
-                 static_cast<std::size_t>(nr0) * static_cast<std::size_t>(n)),
-       span_matrix(a + rmin, rmax - rmin + 1, n, lda, true)},
-      [=, order = std::move(order)] {
-    const long nr = static_cast<long>(order.size());
-    const std::pair<long, long>* op = order.data();
-    // Contiguous column copies: each wire column is read at unit stride
-    // (shuffled only within its cache-resident nr elements) and scattered
-    // down the matrix column in ascending destination order.
-    run_column_tiles(n, [&](long c0, long c1) {
-      for (long c = c0; c < c1; ++c) {
-        T* acol = a + c * lda;
-        const T* icol = in_colmajor + c * nr;
-        for (long i = 0; i < nr; ++i) {
-          prefetch_row_w(acol, op, i, nr);
-          acol[op[i].first] = icol[op[i].second];
-        }
-      }
-    });
-  });
-}
-
-template <typename T>
-void laswp(Stream& s, T* a, long lda, long n, std::vector<long> ipiv) {
-  if (ipiv.empty() || n <= 0) return;
-  const double modeled = s.device().model().rowswap_seconds(
-      static_cast<long>(ipiv.size()), n, sizeof(T));
-  // Swaps touch rows [0, max(np-1, max ipiv)] of every column.
-  long rmax = static_cast<long>(ipiv.size()) - 1;
-  for (long p : ipiv) rmax = std::max(rmax, p);
-  s.enqueue_annotated(modeled, "laswp",
-                      {span_matrix(a, rmax + 1, n, lda, true)},
-                      [=, ipiv = std::move(ipiv)] {
-    const std::size_t np = ipiv.size();
-    const long* pp = ipiv.data();
-    // Swaps alias *rows*, so the sequential pivot order must be preserved
-    // within every column — but columns never interact, which makes the
-    // column tile the dependency-safe parallel unit: each tile replays the
-    // full pivot sequence in order over its own columns.
-    run_column_tiles(n, [&](long c0, long c1) {
-      for (long c = c0; c < c1; ++c) {
-        T* col = a + c * lda;
-        for (std::size_t k = 0; k < np; ++k) {
-          const long other = pp[k];
-          if (other == static_cast<long>(k)) continue;
-          std::swap(col[static_cast<long>(k)], col[other]);
-        }
-      }
-    });
-  });
-}
-
 // Explicit instantiations: double (classic HPL) and float (HPL-MxP).
 #define HPLX_INSTANTIATE_KERNELS(T)                                           \
   template void gemm<T>(Stream&, long, long, long, T, const T*, long,         \
@@ -527,16 +345,7 @@ void laswp(Stream& s, T* a, long lda, long n, std::vector<long> ipiv) {
   template void row_gather<T>(Stream&, const T*, long, std::vector<long>,     \
                               long, T*, long);                                \
   template void row_scatter<T>(Stream&, T*, long, std::vector<long>, long,    \
-                               const T*, long);                               \
-  template void laswp<T>(Stream&, T*, long, long, std::vector<long>);         \
-  template void pack_rows<T>(Stream&, const T*, long, std::vector<long>,      \
-                             long, T*);                                       \
-  template void unpack_rows<T>(Stream&, const T*, std::vector<long>, long,    \
-                               T*, long);                                     \
-  template void pack_rows_cm<T>(Stream&, const T*, long, std::vector<long>,   \
-                                long, T*);                                    \
-  template void unpack_rows_cm<T>(Stream&, const T*, std::vector<long>,       \
-                                  long, T*, long)
+                               const T*, long)
 
 HPLX_INSTANTIATE_KERNELS(double);
 HPLX_INSTANTIATE_KERNELS(float);

@@ -20,8 +20,8 @@
 /// dimension in elements). Host-side index vectors are captured by value
 /// at enqueue time, so callers may reuse them immediately.
 ///
-/// The data-motion kernels (row gather/scatter/pack/unpack, laswp, and the
-/// strided matrix copies) execute on the column-tiled engine of
+/// The data-motion kernels (row gather/scatter and the strided matrix
+/// copies) execute on the column-tiled engine of
 /// engine.hpp: column tiles fan out over the leased BLAS thread team with
 /// a sequential fallback, and inner loops run down contiguous columns.
 /// Results are bitwise identical for every tile width and team size. The
@@ -94,6 +94,10 @@ void copy_matrix_d2h(Stream& s, long m, long n, const T* src, long lds,
                      T* dst, long ldd);
 
 /// out(r, :) := a(rows[r], :) for r = 0..rows.size()-1, over n columns.
+/// With ldo = rows.size() the output is a dense nr×n column-major block:
+/// the row swap's wire format. Any sub-range of its columns can be
+/// unpacked on its own, which is what lets the chunked U allgatherv
+/// unpack each chunk as it lands.
 template <typename T>
 void row_gather(Stream& s, const T* a, long lda, std::vector<long> rows,
                 long n, T* out, long ldo);
@@ -104,43 +108,5 @@ void row_gather(Stream& s, const T* a, long lda, std::vector<long> rows,
 template <typename T>
 void row_scatter(Stream& s, T* a, long lda, std::vector<long> rows, long n,
                  const T* in, long ldi);
-
-/// Local row interchanges: for k = 0..ipiv.size()-1 swap rows k and
-/// ipiv[k] of the m×n matrix (both indices local). Used when all pivot
-/// rows are on one process.
-template <typename T>
-void laswp(Stream& s, T* a, long lda, long n, std::vector<long> ipiv);
-
-/// Pack selected rows of a column-major matrix into a row-major buffer:
-/// out[i*n + c] = a(rows[i], c). This is the gather kernel feeding the
-/// row-swap communication — each communicated row becomes one contiguous
-/// message segment.
-template <typename T>
-void pack_rows(Stream& s, const T* a, long lda, std::vector<long> rows,
-               long n, T* out_rowmajor);
-
-/// Inverse of pack_rows: a(rows[i], c) = in[i*n + c]. Like row_scatter,
-/// `rows` must be distinct.
-template <typename T>
-void unpack_rows(Stream& s, const T* in_rowmajor, std::vector<long> rows,
-                 long n, T* a, long lda);
-
-/// Column-major wire format: out[c*nr + i] = a(rows[i], c), i.e. the
-/// packed buffer is an nr×n column-major matrix (ld = nr = rows.size()).
-/// Unlike pack_rows there is no layout crossing — both sides walk
-/// contiguous columns — so no scratch transpose tile is needed, and the
-/// receive side can unpack any sub-range of wire columns independently
-/// (the per-chunk delivery path of the pipelined row swap).
-template <typename T>
-void pack_rows_cm(Stream& s, const T* a, long lda, std::vector<long> rows,
-                  long n, T* out_colmajor);
-
-/// Inverse of pack_rows_cm: a(rows[i], c) = in[c*nr + i]. `rows` must be
-/// distinct. The wire reads are unit-stride within each cache-resident
-/// nr-length column — this is the contiguous-column-copy receive side the
-/// transposed wire format buys.
-template <typename T>
-void unpack_rows_cm(Stream& s, const T* in_colmajor, std::vector<long> rows,
-                    long n, T* a, long lda);
 
 }  // namespace hplx::device

@@ -39,37 +39,20 @@ struct IterationRecord {
   double stream_real_s[kMaxUpdateStreams] = {};
 };
 
-/// One deduplicated hazard-checker violation (device::HazardTracker).
-/// Like IterationRecord these travel between ranks as raw bytes, so the
-/// op labels are fixed char arrays, not strings.
-struct HazardRecord {
-  /// Matches device::HazardTracker::Kind (kept as int so trace/ does not
-  /// depend on device/).
+/// One deduplicated checker violation, shared by both checkers:
+/// device::HazardTracker (host/device buffer hazards) and comm::Verifier
+/// (collective/p2p matching, deadlock, leaks). Like IterationRecord these
+/// travel between ranks as raw bytes, so the labels are fixed char
+/// arrays, not strings.
+struct DiagnosticRecord {
+  /// The reporting checker's Kind enum (device::HazardTracker::Kind or
+  /// comm::Verifier::Kind), kept as int so trace/ depends on neither.
   int kind = 0;
   /// Occurrences collapsed into this record (same kind + label pair).
   std::uint64_t count = 0;
-  char op_a[48] = {};    ///< label of the later / checking access
-  char op_b[48] = {};    ///< label of the conflicting earlier access
-  char detail[96] = {};  ///< first occurrence's address-range context
-
-  void set_labels(const char* a, const char* b, const char* d) {
-    std::strncpy(op_a, a ? a : "", sizeof(op_a) - 1);
-    std::strncpy(op_b, b ? b : "", sizeof(op_b) - 1);
-    std::strncpy(detail, d ? d : "", sizeof(detail) - 1);
-  }
-};
-
-/// One deduplicated communication-verifier violation (comm::Verifier).
-/// Same wire constraints as HazardRecord: records are gathered onto rank 0
-/// as raw bytes, so labels are fixed char arrays. `kind` matches
-/// comm::Verifier::Kind (kept as int so trace/ does not depend on comm/).
-struct CommViolationRecord {
-  int kind = 0;
-  /// Occurrences collapsed into this record (same kind + label pair).
-  std::uint64_t count = 0;
-  char op_a[48] = {};    ///< label of the later / detecting rank's call
-  char op_b[48] = {};    ///< label of the conflicting peer's call
-  char detail[96] = {};  ///< first occurrence's context (sizes, peers)
+  char op_a[48] = {};    ///< label of the later / detecting access or call
+  char op_b[48] = {};    ///< label of the conflicting earlier one / peer's
+  char detail[96] = {};  ///< first occurrence's context (ranges, sizes)
 
   void set_labels(const char* a, const char* b, const char* d) {
     std::strncpy(op_a, a ? a : "", sizeof(op_a) - 1);

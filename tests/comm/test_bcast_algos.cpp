@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "comm/collectives.hpp"
@@ -15,14 +16,24 @@
 namespace hplx::comm {
 namespace {
 
-using Param = std::tuple<BcastAlgo, int /*nranks*/, int /*root*/,
-                         std::size_t /*payload doubles*/>;
+using Shape = std::pair<int /*nranks*/, int /*root*/>;
+using Param = std::tuple<BcastAlgo, Shape, std::size_t /*payload doubles*/>;
+
+/// Every (nranks, root) pair of the sweep's sizes and roots with
+/// root < nranks.
+std::vector<Shape> rooted_shapes() {
+  std::vector<Shape> out;
+  for (int nranks : {1, 2, 3, 4, 7, 8})
+    for (int root : {0, 1, 3})
+      if (root < nranks) out.emplace_back(nranks, root);
+  return out;
+}
 
 class BcastSweep : public ::testing::TestWithParam<Param> {};
 
 TEST_P(BcastSweep, AllRanksReceiveRootData) {
-  const auto [algo, nranks, root, count] = GetParam();
-  if (root >= nranks) GTEST_SKIP();
+  const auto [algo, shape, count] = GetParam();
+  const auto [nranks, root] = shape;
   World::run(nranks, [&, algo = algo, root = root, count = count](Communicator& comm) {
     std::vector<double> buf(count, -1.0);
     if (comm.rank() == root) {
@@ -39,9 +50,10 @@ TEST_P(BcastSweep, AllRanksReceiveRootData) {
 std::string bcast_param_name(const ::testing::TestParamInfo<Param>& info) {
   const BcastAlgo algo = std::get<0>(info.param);
   std::string name = to_string(algo);
-  name += "_n" + std::to_string(std::get<1>(info.param)) + "_r" +
-          std::to_string(std::get<2>(info.param)) + "_c" +
-          std::to_string(std::get<3>(info.param));
+  const Shape shape = std::get<1>(info.param);
+  name += "_n" + std::to_string(shape.first) + "_r" +
+          std::to_string(shape.second) + "_c" +
+          std::to_string(std::get<2>(info.param));
   return name;
 }
 
@@ -52,8 +64,7 @@ INSTANTIATE_TEST_SUITE_P(
                           BcastAlgo::Ring1Mod, BcastAlgo::Ring2,
                           BcastAlgo::Ring2Mod, BcastAlgo::Long,
                           BcastAlgo::LongMod),
-        ::testing::Values(1, 2, 3, 4, 7, 8),
-        ::testing::Values(0, 1, 3),
+        ::testing::ValuesIn(rooted_shapes()),
         ::testing::Values(std::size_t{1}, std::size_t{2}, std::size_t{1000})),
     bcast_param_name);
 

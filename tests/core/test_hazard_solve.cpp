@@ -7,12 +7,11 @@
 /// run stays numerically correct and race-free) but hides the
 /// happens-before edge from the tracker — exactly what the code would
 /// look like had the fence been forgotten — and the checker must report
-/// it, on both the blocking seed path and the pipelined chunked path
-/// whose fused per-chunk unpacks ride the same fence. The negative half
-/// sweeps the real schedules (streams × bands × pipelines × wire formats
-/// × chunk sizes) and demands zero violations: the fences the driver
-/// actually places are sufficient, with no false positives from the
-/// conservative span envelopes.
+/// it: the per-chunk U unpacks and the displaced-row unpack ride the same
+/// fence. The negative half sweeps the real schedules (streams × bands ×
+/// pipelines × chunk sizes) and demands zero violations: the fences the
+/// driver actually places are sufficient, with no false positives from
+/// the conservative span envelopes.
 
 #include <gtest/gtest.h>
 
@@ -23,7 +22,6 @@
 
 #include "comm/world.hpp"
 #include "core/driver.hpp"
-#include "core/rowswap.hpp"
 #include "device/hazard.hpp"
 
 namespace hplx::core {
@@ -55,18 +53,18 @@ HplResult run(const HplConfig& cfg) {
 constexpr int kHostDevice =
     static_cast<int>(device::HazardTracker::Kind::HostDevice);
 
-TEST(HazardSolve, MissingScatterFenceIsReported) {
+TEST(HazardSolve, MissingChunkFenceIsReported) {
   // P=1 so every rank owns all the rows it swaps: the pack-side ordering
   // (gather_done) keeps the communicate-stage guard silent, making the
-  // prepare-stage rewrite of the U staging buffers the one deterministic
+  // prepare-stage rewrite of the staging buffers the one deterministic
   // detection point. With the fence hidden, the rank whose look-ahead
   // window is empty reaches prepare() before the host ever joined the
-  // previous iteration's unpack. Pinned to the seed path (unchunked,
-  // row-major wire) so the expected site is the bulk unpack_rows.
+  // previous iteration's unpacks — the per-chunk U unpacks enqueued
+  // inside the chunked allgatherv and the displaced-row unpack, all
+  // row_scatter kernels. Small chunks so each window unpacks in pieces.
   HplConfig cfg = base_cfg(96, 16, 1, 2);
   cfg.pipeline = PipelineMode::Lookahead;
-  cfg.swap_wire = SwapWireFormat::RowMajor;
-  cfg.swap_chunk_bytes = -1;
+  cfg.swap_chunk_bytes = 4096;
 
   HplConfig skip = cfg;
   skip.test_skip_scatter_fence = true;
@@ -82,51 +80,12 @@ TEST(HazardSolve, MissingScatterFenceIsReported) {
     pairs.emplace(r.op_a, r.op_b);
   }
   // Exactly one distinct site: the prepare-stage host rewrite racing the
-  // previous cycle's device unpack. Nothing else may fire.
+  // previous cycle's device unpacks. Nothing else may fire.
   ASSERT_EQ(pairs.size(), 1u);
   EXPECT_EQ(pairs.begin()->first, "rowswap.prepare");
-  EXPECT_EQ(pairs.begin()->second, "unpack_rows");
+  EXPECT_EQ(pairs.begin()->second, "row_scatter");
 
   // Same config with the fence back in place: completely clean.
-  const HplResult good = run(cfg);
-  EXPECT_TRUE(good.verify.passed);
-  ASSERT_TRUE(good.hazard_checked);
-  EXPECT_TRUE(good.hazards.empty()) << good.hazards.size() << " records, e.g. "
-                                    << good.hazards.front().op_a << " vs "
-                                    << good.hazards.front().op_b << ": "
-                                    << good.hazards.front().detail;
-}
-
-TEST(HazardSolve, MissingChunkFenceIsReported) {
-  // The pipelined path's regression twin: fused per-chunk unpacks
-  // (unpack_rows_cm enqueued inside the chunked allgatherv) are ordered
-  // against the next prepare() by the same scatter fence. Hide it and the
-  // tracker must flag the staging rewrite racing the fused unpacks.
-  HplConfig cfg = base_cfg(96, 16, 1, 2);
-  cfg.pipeline = PipelineMode::Lookahead;
-  cfg.swap_wire = SwapWireFormat::ColMajor;
-  cfg.swap_chunk_bytes = 4096;
-
-  HplConfig skip = cfg;
-  skip.test_skip_scatter_fence = true;
-  const HplResult bad = run(skip);
-  EXPECT_TRUE(bad.verify.passed) << "residual=" << bad.verify.residual;
-  ASSERT_TRUE(bad.hazard_checked);
-  ASSERT_FALSE(bad.hazards.empty());
-  std::set<std::pair<std::string, std::string>> pairs;
-  bool saw_fused = false;
-  for (const auto& r : bad.hazards) {
-    EXPECT_EQ(r.kind, kHostDevice) << r.op_a << " vs " << r.op_b;
-    EXPECT_STREQ(r.op_a, "rowswap.prepare") << " vs " << r.op_b;
-    if (std::string(r.op_b) == "unpack_rows_cm") saw_fused = true;
-    pairs.emplace(r.op_a, r.op_b);
-  }
-  // The fused chunk unpack must be among the flagged sites (the displaced
-  // row scatter may legitimately surface as a second one).
-  EXPECT_TRUE(saw_fused);
-  EXPECT_LE(pairs.size(), 2u);
-
-  // Fence restored: the pipelined path is completely clean.
   const HplResult good = run(cfg);
   EXPECT_TRUE(good.verify.passed);
   ASSERT_TRUE(good.hazard_checked);
@@ -170,14 +129,12 @@ TEST_P(HazardSweep, FencedSchedulesAreViolationFree) {
   const auto [p, q, mode] = GetParam();
   for (int streams : {1, 2, 4}) {
     for (long band : {0L, 8L}) {
-      for (long chunk : {-1L, 4096L}) {
+      for (long chunk : {4096L, 256L * 1024L}) {
         HplConfig cfg = base_cfg(96, 16, p, q);
         cfg.pipeline = mode;
         cfg.update_streams = streams;
         cfg.update_band_cols = band;
         cfg.swap_chunk_bytes = chunk;
-        cfg.swap_wire = chunk < 0 ? SwapWireFormat::RowMajor
-                                  : SwapWireFormat::ColMajor;
         const HplResult r = run(cfg);
         EXPECT_TRUE(r.verify.passed)
             << "streams=" << streams << " band=" << band << " chunk=" << chunk;

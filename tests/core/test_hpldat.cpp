@@ -179,7 +179,7 @@ const char kAllExtensions[] =
     "3            update streams\n"
     "48           update band cols\n"
     "1            hazard check\n"
-    "0            swap wire format\n"
+    "1            swap wire format\n"
     "131072       swap chunk bytes\n"
     "mxp32        precision\n"
     "12           IR max iters\n"
@@ -203,7 +203,6 @@ TEST(HplDat, ParsesEveryExtensionKnob) {
   EXPECT_EQ(dat.update_streams, 3);
   EXPECT_EQ(dat.update_band_cols, 48);
   EXPECT_EQ(dat.hazard_check, 1);
-  EXPECT_EQ(dat.swap_wire_format, 0);
   EXPECT_EQ(dat.swap_chunk_bytes, 131072);
   EXPECT_EQ(dat.precision, "mxp32");
   EXPECT_EQ(dat.ir_max_iters, 12);
@@ -251,7 +250,6 @@ TEST(HplDat, EveryKnobRoundTripsThroughFormat) {
   EXPECT_EQ(again.update_streams, dat.update_streams);
   EXPECT_EQ(again.update_band_cols, dat.update_band_cols);
   EXPECT_EQ(again.hazard_check, dat.hazard_check);
-  EXPECT_EQ(again.swap_wire_format, dat.swap_wire_format);
   EXPECT_EQ(again.swap_chunk_bytes, dat.swap_chunk_bytes);
   EXPECT_EQ(again.precision, dat.precision);
   EXPECT_EQ(again.ir_max_iters, dat.ir_max_iters);
@@ -289,6 +287,37 @@ TEST(HplDat, PrecisionExpandsIntoConfigs) {
     EXPECT_TRUE(c.diag_dominant);
     EXPECT_EQ(c.nrhs, 4);
   }
+}
+
+TEST(HplDat, RemovedSwapChoicesThrow) {
+  // Both lines stay in the positional format, but only wire format 1
+  // (col-major) and chunk sizes >= 0 parse.
+  std::string wire = std::string(kClassic) + kAllExtensions;
+  const auto wpos = wire.find("1            swap wire format");
+  ASSERT_NE(wpos, std::string::npos);
+  wire[wpos] = '0';
+  EXPECT_THROW(parse_hpldat_string(wire), Error);
+
+  std::string chunk = std::string(kClassic) + kAllExtensions;
+  const auto cpos = chunk.find("131072       swap chunk bytes");
+  ASSERT_NE(cpos, std::string::npos);
+  chunk.replace(cpos, 6, "-1    ");
+  EXPECT_THROW(parse_hpldat_string(chunk), Error);
+}
+
+TEST(HplDat, FormatWritesColMajorWireAndZeroChunkParses) {
+  // The chunk line's lower bound is inclusive: 0 selects the autotuner.
+  std::string text = std::string(kClassic) + kAllExtensions;
+  const auto cpos = text.find("131072       swap chunk bytes");
+  ASSERT_NE(cpos, std::string::npos);
+  text.replace(cpos, 6, "0     ");
+  const HplDat dat = parse_hpldat_string(text);
+  EXPECT_EQ(dat.swap_chunk_bytes, 0);
+
+  // The formatter writes the only wire format, so its output parses again.
+  const std::string out = format_hpldat(dat);
+  EXPECT_NE(out.find("1  swap wire format"), std::string::npos);
+  EXPECT_EQ(parse_hpldat_string(out).swap_chunk_bytes, 0);
 }
 
 TEST(HplDat, BadPivotingThrows) {

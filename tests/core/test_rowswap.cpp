@@ -93,10 +93,10 @@ TEST(RowSwapPlan, PivotAboveCurrentRowRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// Pipelined-broadcast equivalence: the wire format and chunk size choose
-// *how* U travels and when its unpacks are enqueued, never the arithmetic.
-// Every (wire, chunk, algo, streams) combination must reproduce the seed
-// path's factorization bit for bit.
+// Pipelined-broadcast equivalence: the chunk size, SWAP algorithm and
+// stream count choose *how* U travels and when its unpacks are enqueued,
+// never the arithmetic. Every combination must reproduce the default
+// configuration's factorization bit for bit.
 
 HplConfig sweep_cfg(long n, int nb, int p, int q) {
   HplConfig cfg;
@@ -124,45 +124,45 @@ using PipeShape = std::tuple<int /*p*/, int /*q*/, PipelineMode>;
 
 class RowSwapPipelineSweep : public ::testing::TestWithParam<PipeShape> {};
 
-TEST_P(RowSwapPipelineSweep, WireAndChunkConfigsAgreeBitwise) {
+TEST_P(RowSwapPipelineSweep, ChunkAlgoAndStreamConfigsAgreeBitwise) {
   const auto [p, q, mode] = GetParam();
 
-  // Reference: the seed path — row-major wire, blocking gather-then-unpack.
+  // Reference: the shipping default (256 KiB chunks, spread-roll, one
+  // update stream).
   HplConfig ref = sweep_cfg(96, 16, p, q);
   ref.pipeline = mode;
-  ref.swap_wire = SwapWireFormat::RowMajor;
-  ref.swap_chunk_bytes = -1;
   const HplResult r0 = run_cfg(ref);
   ASSERT_TRUE(r0.verify.passed) << "reference residual=" << r0.verify.residual;
 
-  // chunk -1 = unchunked blocking, 0 at the RowSwapper level = one chunk
-  // per rank segment (run_hpl resolves cfg 0 to the autotune probe, so
-  // drive a tiny explicit chunk for that shape instead), 1 KiB = many
-  // chunks per segment, 256 KiB = the shipping default.
-  for (const auto wire : {SwapWireFormat::RowMajor, SwapWireFormat::ColMajor}) {
-    for (const long chunk : {-1L, 1024L, 256L * 1024L}) {
-      for (const auto algo :
-           {RowSwapAlgo::SpreadRoll, RowSwapAlgo::BinaryExchange}) {
-        for (const int streams : {1, 2}) {
-          HplConfig cfg = ref;
-          cfg.swap_wire = wire;
-          cfg.swap_chunk_bytes = chunk;
-          cfg.swap = algo;
-          cfg.update_streams = streams;
-          const HplResult r = run_cfg(cfg);
-          EXPECT_TRUE(r.verify.passed)
-              << "wire=" << to_string(wire) << " chunk=" << chunk
-              << " algo=" << to_string(algo) << " streams=" << streams
-              << " residual=" << r.verify.residual;
-          // The scaled residual is a deterministic function of x:
-          // identical factors across RS transports → identical residual.
-          EXPECT_EQ(r0.verify.residual, r.verify.residual)
-              << "wire=" << to_string(wire) << " chunk=" << chunk
-              << " algo=" << to_string(algo) << " streams=" << streams;
-        }
+  // 1 KiB = many chunks per segment, 256 KiB = the shipping default (one
+  // chunk per segment at this size). run_hpl resolves 0 to the autotune
+  // probe, which lands on one of these regimes.
+  for (const long chunk : {1024L, 256L * 1024L}) {
+    for (const auto algo : {RowSwapAlgo::SpreadRoll,
+                            RowSwapAlgo::BinaryExchange, RowSwapAlgo::Mix}) {
+      for (const int streams : {1, 2}) {
+        HplConfig cfg = ref;
+        cfg.swap_chunk_bytes = chunk;
+        cfg.swap = algo;
+        cfg.update_streams = streams;
+        const HplResult r = run_cfg(cfg);
+        EXPECT_TRUE(r.verify.passed)
+            << "chunk=" << chunk << " algo=" << to_string(algo)
+            << " streams=" << streams << " residual=" << r.verify.residual;
+        // The scaled residual is a deterministic function of x:
+        // identical factors across RS transports → identical residual.
+        EXPECT_EQ(r0.verify.residual, r.verify.residual)
+            << "chunk=" << chunk << " algo=" << to_string(algo)
+            << " streams=" << streams;
       }
     }
   }
+}
+
+TEST(RowSwapPipeline, NegativeChunkIsRejected) {
+  HplConfig cfg = sweep_cfg(32, 16, 1, 1);
+  cfg.swap_chunk_bytes = -1;
+  EXPECT_THROW(run_cfg(cfg), Error);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -90,28 +90,6 @@ void ref_row_scatter(double* a, long lda, const std::vector<long>& rows,
       a[rows[r] + j * lda] = in[static_cast<long>(r) + j * ldi];
 }
 
-void ref_pack_rows(const double* a, long lda, const std::vector<long>& rows,
-                   long n, double* out_rowmajor) {
-  for (std::size_t i = 0; i < rows.size(); ++i)
-    for (long c = 0; c < n; ++c)
-      out_rowmajor[static_cast<long>(i) * n + c] = a[rows[i] + c * lda];
-}
-
-void ref_unpack_rows(const double* in_rowmajor, const std::vector<long>& rows,
-                     long n, double* a, long lda) {
-  for (std::size_t i = 0; i < rows.size(); ++i)
-    for (long c = 0; c < n; ++c)
-      a[rows[i] + c * lda] = in_rowmajor[static_cast<long>(i) * n + c];
-}
-
-void ref_laswp(double* a, long lda, long n, const std::vector<long>& ipiv) {
-  for (std::size_t k = 0; k < ipiv.size(); ++k) {
-    if (ipiv[k] == static_cast<long>(k)) continue;
-    for (long j = 0; j < n; ++j)
-      std::swap(a[static_cast<long>(k) + j * lda], a[ipiv[k] + j * lda]);
-  }
-}
-
 const long kTileSizes[] = {1, 3, 16, 250};
 const int kTeamSizes[] = {1, 2, 4};
 
@@ -120,7 +98,7 @@ struct Shape {
 };
 const Shape kShapes[] = {{37, 5, 23}, {128, 32, 96}, {301, 64, 257}};
 
-TEST(KernelEngine, RowGatherScatterPackUnpackMatchNaive) {
+TEST(KernelEngine, RowGatherScatterMatchNaive) {
   EngineState restore;
   for (const Shape& sh : kShapes) {
     const long lda = sh.m + 3;
@@ -130,12 +108,8 @@ TEST(KernelEngine, RowGatherScatterPackUnpackMatchNaive) {
 
     std::vector<double> want_gather(static_cast<std::size_t>(sh.jb) * sh.n);
     ref_row_gather(a0.data(), lda, rows, sh.n, want_gather.data(), sh.jb);
-    std::vector<double> want_pack(static_cast<std::size_t>(sh.jb) * sh.n);
-    ref_pack_rows(a0.data(), lda, rows, sh.n, want_pack.data());
     auto want_scatter = a0;
     ref_row_scatter(want_scatter.data(), lda, rows, sh.n, wire0.data(), sh.jb);
-    auto want_unpack = a0;
-    ref_unpack_rows(want_pack.data(), rows, sh.n, want_unpack.data(), lda);
 
     for (long tile : kTileSizes) {
       for (int team : kTeamSizes) {
@@ -148,61 +122,51 @@ TEST(KernelEngine, RowGatherScatterPackUnpackMatchNaive) {
 
         std::vector<double> gout(static_cast<std::size_t>(sh.jb) * sh.n, -7.0);
         row_gather(s, a0.data(), lda, rows, sh.n, gout.data(), sh.jb);
-        std::vector<double> pout(static_cast<std::size_t>(sh.jb) * sh.n, -7.0);
-        pack_rows(s, a0.data(), lda, rows, sh.n, pout.data());
         s.synchronize();
         EXPECT_TRUE(bitwise_equal(gout, want_gather));
-        EXPECT_TRUE(bitwise_equal(pout, want_pack));
 
         auto sa = a0;
         row_scatter(s, sa.data(), lda, rows, sh.n, wire0.data(), sh.jb);
         s.synchronize();
         EXPECT_TRUE(bitwise_equal(sa, want_scatter));
-
-        auto ua = a0;
-        unpack_rows(s, want_pack.data(), rows, sh.n, ua.data(), lda);
-        s.synchronize();
-        EXPECT_TRUE(bitwise_equal(ua, want_unpack));
       }
     }
   }
 }
 
-TEST(KernelEngine, LaswpMatchesNaiveForAliasingPivotPatterns) {
+TEST(KernelEngine, RowGatherScatterStridedWireMatchNaive) {
   EngineState restore;
-  const long m = 130, n = 211, lda = m + 1, jb = 48;
-  const auto a0 = random_matrix(lda, n, 23);
+  // A wire leading dimension wider than the row count: the padding of the
+  // gather output must stay untouched and the scatter must not read it.
+  for (const Shape& sh : kShapes) {
+    const long lda = sh.m + 1, ldw = sh.jb + 4;
+    const auto a0 = random_matrix(lda, sh.n, 19 * sh.m);
+    const auto rows = distinct_rows(sh.jb, sh.m, 23 * sh.jb);
+    const auto wire0 = random_matrix(ldw, sh.n, 29 * sh.n);
 
-  // Pivot patterns that alias rows as hard as possible: identity, the
-  // all-rows-rotate chain, everything targeting one far row, and a random
-  // HPL-style draw (ipiv[k] in [k, m)). Order of application matters in
-  // every non-trivial one.
-  std::vector<std::vector<long>> patterns;
-  patterns.emplace_back(jb);
-  std::iota(patterns.back().begin(), patterns.back().end(), 0L);  // identity
-  patterns.emplace_back(jb);
-  for (long k = 0; k < jb; ++k) patterns.back()[k] = k + 1;  // rotate chain
-  patterns.emplace_back(jb, m - 1);  // all swaps hit the same victim row
-  patterns.emplace_back(jb);
-  std::uint64_t s = 31;
-  for (long k = 0; k < jb; ++k)
-    patterns.back()[k] =
-        k + static_cast<long>(xorshift(s) % static_cast<std::uint64_t>(m - k));
+    std::vector<double> want_gather(static_cast<std::size_t>(ldw) * sh.n, -7.0);
+    ref_row_gather(a0.data(), lda, rows, sh.n, want_gather.data(), ldw);
+    auto want_scatter = a0;
+    ref_row_scatter(want_scatter.data(), lda, rows, sh.n, wire0.data(), ldw);
 
-  for (std::size_t p = 0; p < patterns.size(); ++p) {
-    auto want = a0;
-    ref_laswp(want.data(), lda, n, patterns[p]);
     for (long tile : kTileSizes) {
       for (int team : kTeamSizes) {
-        SCOPED_TRACE(::testing::Message()
-                     << "pattern=" << p << " tile=" << tile << " team=" << team);
+        SCOPED_TRACE(::testing::Message() << "m=" << sh.m << " jb=" << sh.jb
+                                          << " n=" << sh.n << " tile=" << tile
+                                          << " team=" << team);
         blas::set_num_threads(team);
         configure_engine({tile, 0});
-        Stream st(test_device());
-        auto a = a0;
-        laswp(st, a.data(), lda, n, patterns[p]);
-        st.synchronize();
-        EXPECT_TRUE(bitwise_equal(a, want));
+        Stream s(test_device());
+
+        std::vector<double> gout(static_cast<std::size_t>(ldw) * sh.n, -7.0);
+        row_gather(s, a0.data(), lda, rows, sh.n, gout.data(), ldw);
+        s.synchronize();
+        EXPECT_TRUE(bitwise_equal(gout, want_gather));
+
+        auto sa = a0;
+        row_scatter(s, sa.data(), lda, rows, sh.n, wire0.data(), ldw);
+        s.synchronize();
+        EXPECT_TRUE(bitwise_equal(sa, want_scatter));
       }
     }
   }

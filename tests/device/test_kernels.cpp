@@ -124,71 +124,16 @@ TEST(Kernels, RowGatherScatterRoundTrip) {
   EXPECT_DOUBLE_EQ(a[5], orig[5]);
 }
 
-TEST(Kernels, PackRowsProducesRowMajorSegments) {
+TEST(Kernels, RowGatherProducesColumnMajorWire) {
   Stream s(test_device());
-  // 5x3 matrix; pack rows {4, 0, 2} into contiguous row-major segments.
-  std::vector<double> a(15);
-  for (int j = 0; j < 3; ++j)
-    for (int i = 0; i < 5; ++i)
-      a[static_cast<std::size_t>(j * 5 + i)] = i * 10 + j;
-  std::vector<double> out(9, -1.0);
-  pack_rows(s, a.data(), 5, {4, 0, 2}, 3, out.data());
-  s.synchronize();
-  // Segment 0 = row 4: 40, 41, 42; segment 1 = row 0; segment 2 = row 2.
-  EXPECT_DOUBLE_EQ(out[0], 40.0);
-  EXPECT_DOUBLE_EQ(out[1], 41.0);
-  EXPECT_DOUBLE_EQ(out[2], 42.0);
-  EXPECT_DOUBLE_EQ(out[3], 0.0);
-  EXPECT_DOUBLE_EQ(out[5], 2.0);
-  EXPECT_DOUBLE_EQ(out[6], 20.0);
-  EXPECT_DOUBLE_EQ(out[8], 22.0);
-}
-
-TEST(Kernels, PackUnpackRowsRoundTrip) {
-  Stream s(test_device());
-  const long m = 12, n = 6;
-  testref::Rand rng(21);
-  auto a = rng.matrix(static_cast<int>(m), static_cast<int>(n),
-                      static_cast<int>(m));
-  const auto orig = a;
-  const std::vector<long> rows{1, 7, 11, 3};
-  std::vector<double> packed(rows.size() * static_cast<std::size_t>(n));
-  pack_rows(s, a.data(), m, rows, n, packed.data());
-  // Wipe the rows, then restore from the packed buffer.
-  s.enqueue(0.0, [&] {
-    for (long r : rows)
-      for (long j = 0; j < n; ++j) a[static_cast<std::size_t>(j * m + r)] = -9.0;
-  });
-  unpack_rows(s, packed.data(), rows, n, a.data(), m);
-  s.synchronize();
-  for (std::size_t i = 0; i < a.size(); ++i) ASSERT_DOUBLE_EQ(a[i], orig[i]);
-}
-
-TEST(Kernels, UnpackRowsScattersToArbitraryTargets) {
-  Stream s(test_device());
-  // Row-major input with 2 rows of 3 cols scattered to matrix rows 3, 0.
-  std::vector<double> rm{1, 2, 3, 4, 5, 6};
-  std::vector<double> a(12, 0.0);  // 4x3
-  unpack_rows(s, rm.data(), {3, 0}, 3, a.data(), 4);
-  s.synchronize();
-  EXPECT_DOUBLE_EQ(a[3], 1.0);   // (3,0)
-  EXPECT_DOUBLE_EQ(a[7], 2.0);   // (3,1)
-  EXPECT_DOUBLE_EQ(a[11], 3.0);  // (3,2)
-  EXPECT_DOUBLE_EQ(a[0], 4.0);   // (0,0)
-  EXPECT_DOUBLE_EQ(a[8], 6.0);   // (0,2)
-  EXPECT_DOUBLE_EQ(a[1], 0.0);   // untouched
-}
-
-TEST(Kernels, PackRowsCmProducesColumnMajorWire) {
-  Stream s(test_device());
-  // 5x3 matrix; pack rows {4, 0, 2} into a 3x3 column-major wire block
+  // 5x3 matrix; gather rows {4, 0, 2} into a 3x3 column-major wire block
   // (ld = number of packed rows): out[c*nr + i] = a(rows[i], c).
   std::vector<double> a(15);
   for (int j = 0; j < 3; ++j)
     for (int i = 0; i < 5; ++i)
       a[static_cast<std::size_t>(j * 5 + i)] = i * 10 + j;
   std::vector<double> out(9, -1.0);
-  pack_rows_cm(s, a.data(), 5, {4, 0, 2}, 3, out.data());
+  row_gather(s, a.data(), 5, {4, 0, 2}, 3, out.data(), 3);
   s.synchronize();
   // Column 0 of the wire = column 0 of rows {4, 0, 2}: 40, 0, 20.
   EXPECT_DOUBLE_EQ(out[0], 40.0);
@@ -203,47 +148,7 @@ TEST(Kernels, PackRowsCmProducesColumnMajorWire) {
   EXPECT_DOUBLE_EQ(out[8], 22.0);
 }
 
-TEST(Kernels, PackUnpackRowsCmRoundTrip) {
-  Stream s(test_device());
-  const long m = 12, n = 6;
-  testref::Rand rng(22);
-  auto a = rng.matrix(static_cast<int>(m), static_cast<int>(n),
-                      static_cast<int>(m));
-  const auto orig = a;
-  const std::vector<long> rows{1, 7, 11, 3};
-  std::vector<double> packed(rows.size() * static_cast<std::size_t>(n));
-  pack_rows_cm(s, a.data(), m, rows, n, packed.data());
-  // Wipe the rows, then restore from the column-major wire buffer.
-  s.enqueue(0.0, [&] {
-    for (long r : rows)
-      for (long j = 0; j < n; ++j) a[static_cast<std::size_t>(j * m + r)] = -9.0;
-  });
-  unpack_rows_cm(s, packed.data(), rows, n, a.data(), m);
-  s.synchronize();
-  for (std::size_t i = 0; i < a.size(); ++i) ASSERT_DOUBLE_EQ(a[i], orig[i]);
-}
-
-TEST(Kernels, ColumnMajorWireMatchesRowMajorTransposed) {
-  Stream s(test_device());
-  const long m = 9, n = 4;
-  testref::Rand rng(23);
-  auto a = rng.matrix(static_cast<int>(m), static_cast<int>(n),
-                      static_cast<int>(m));
-  const std::vector<long> rows{6, 2, 8};
-  const auto nr = static_cast<long>(rows.size());
-  std::vector<double> rm(static_cast<std::size_t>(nr * n));
-  std::vector<double> cm(static_cast<std::size_t>(nr * n));
-  pack_rows(s, a.data(), m, rows, n, rm.data());
-  pack_rows_cm(s, a.data(), m, rows, n, cm.data());
-  s.synchronize();
-  for (long i = 0; i < nr; ++i)
-    for (long c = 0; c < n; ++c)
-      EXPECT_DOUBLE_EQ(cm[static_cast<std::size_t>(c * nr + i)],
-                       rm[static_cast<std::size_t>(i * n + c)])
-          << "i=" << i << " c=" << c;
-}
-
-TEST(Kernels, UnpackRowsCmScattersColumnSubranges) {
+TEST(Kernels, RowScatterScattersColumnSubranges) {
   Stream s(test_device());
   // A chunked delivery unpacks a column subrange of the wire block: the
   // caller advances the input by c0*nr and the output by c0*lda.
@@ -257,7 +162,7 @@ TEST(Kernels, UnpackRowsCmScattersColumnSubranges) {
       cm[static_cast<std::size_t>(c * nr + i)] = 100.0 * c + i;
   // Deliver columns [2, 5) only.
   const long c0 = 2, nc = n - c0;
-  unpack_rows_cm(s, cm.data() + c0 * nr, rows, nc, a.data() + c0 * m, m);
+  row_scatter(s, a.data() + c0 * m, m, rows, nc, cm.data() + c0 * nr, nr);
   s.synchronize();
   for (long c = 0; c < n; ++c)
     for (long i = 0; i < nr; ++i)
@@ -266,27 +171,125 @@ TEST(Kernels, UnpackRowsCmScattersColumnSubranges) {
           << "i=" << i << " c=" << c;
 }
 
-TEST(Kernels, LaswpAppliesSequentialSwaps) {
+TEST(Kernels, RowGatherScatterRestoresWipedRows) {
   Stream s(test_device());
-  // 4x2 matrix, pivots: row0<->row2, row1<->row1, row2<->row3.
-  std::vector<double> a{0, 1, 2, 3, 10, 11, 12, 13};
-  laswp(s, a.data(), 4, 2, {2, 1, 3});
+  const long m = 12, n = 6;
+  testref::Rand rng(22);
+  auto a = rng.matrix(static_cast<int>(m), static_cast<int>(n),
+                      static_cast<int>(m));
+  const auto orig = a;
+  const std::vector<long> rows{1, 7, 11, 3};
+  const auto nr = static_cast<long>(rows.size());
+  std::vector<double> packed(rows.size() * static_cast<std::size_t>(n));
+  row_gather(s, a.data(), m, rows, n, packed.data(), nr);
+  // Wipe the rows in stream order, then restore from the wire buffer.
+  s.enqueue(0.0, [&] {
+    for (long r : rows)
+      for (long j = 0; j < n; ++j) a[static_cast<std::size_t>(j * m + r)] = -9.0;
+  });
+  row_scatter(s, a.data(), m, rows, n, packed.data(), nr);
   s.synchronize();
-  // Sequential semantics: after k=0 swap(0,2): {2,1,0,3};
-  // k=1 noop; k=2 swap(2,3): {2,1,3,0}.
-  EXPECT_DOUBLE_EQ(a[0], 2.0);
-  EXPECT_DOUBLE_EQ(a[1], 1.0);
-  EXPECT_DOUBLE_EQ(a[2], 3.0);
-  EXPECT_DOUBLE_EQ(a[3], 0.0);
-  EXPECT_DOUBLE_EQ(a[4], 12.0);
-  EXPECT_DOUBLE_EQ(a[7], 10.0);
+  for (std::size_t i = 0; i < a.size(); ++i) ASSERT_DOUBLE_EQ(a[i], orig[i]);
+}
+
+TEST(Kernels, RowScatterScattersToArbitraryTargets) {
+  Stream s(test_device());
+  // Column-major 2x3 wire block scattered to matrix rows 3, 0 of a 4x3.
+  std::vector<double> cm{1, 4, 2, 5, 3, 6};
+  std::vector<double> a(12, 0.0);
+  row_scatter(s, a.data(), 4, {3, 0}, 3, cm.data(), 2);
+  s.synchronize();
+  EXPECT_DOUBLE_EQ(a[3], 1.0);   // (3,0)
+  EXPECT_DOUBLE_EQ(a[7], 2.0);   // (3,1)
+  EXPECT_DOUBLE_EQ(a[11], 3.0);  // (3,2)
+  EXPECT_DOUBLE_EQ(a[0], 4.0);   // (0,0)
+  EXPECT_DOUBLE_EQ(a[8], 6.0);   // (0,2)
+  EXPECT_DOUBLE_EQ(a[1], 0.0);   // untouched
+}
+
+TEST(Kernels, RowGatherLeavesWirePaddingUntouched) {
+  Stream s(test_device());
+  // ldo > rows.size(): only the first nr entries of each wire column are
+  // written.
+  const long m = 7, n = 3, ldo = 5;
+  std::vector<double> a(static_cast<std::size_t>(m * n));
+  for (long j = 0; j < n; ++j)
+    for (long i = 0; i < m; ++i)
+      a[static_cast<std::size_t>(j * m + i)] = 10.0 * i + j;
+  const std::vector<long> rows{6, 2};
+  std::vector<double> out(static_cast<std::size_t>(ldo * n), -1.0);
+  row_gather(s, a.data(), m, rows, n, out.data(), ldo);
+  s.synchronize();
+  for (long j = 0; j < n; ++j)
+    for (long i = 0; i < ldo; ++i) {
+      const double want =
+          i < 2 ? 10.0 * rows[static_cast<std::size_t>(i)] + j : -1.0;
+      EXPECT_DOUBLE_EQ(out[static_cast<std::size_t>(j * ldo + i)], want)
+          << "i=" << i << " j=" << j;
+    }
+}
+
+TEST(Kernels, RowScatterReadsStridedWire) {
+  Stream s(test_device());
+  // ldi > rows.size(): the padding rows of the input are never read.
+  const long m = 5, n = 4, ldi = 4;
+  const std::vector<long> rows{0, 3, 1};
+  std::vector<double> in(static_cast<std::size_t>(ldi * n));
+  for (long j = 0; j < n; ++j)
+    for (long i = 0; i < ldi; ++i)
+      in[static_cast<std::size_t>(j * ldi + i)] = i < 3 ? 100.0 * i + j : -5.0;
+  std::vector<double> a(static_cast<std::size_t>(m * n), 0.0);
+  row_scatter(s, a.data(), m, rows, n, in.data(), ldi);
+  s.synchronize();
+  for (long j = 0; j < n; ++j) {
+    for (std::size_t r = 0; r < rows.size(); ++r)
+      EXPECT_DOUBLE_EQ(a[static_cast<std::size_t>(j * m + rows[r])],
+                       100.0 * static_cast<double>(r) + j);
+    EXPECT_DOUBLE_EQ(a[static_cast<std::size_t>(j * m + 2)], 0.0);
+    EXPECT_DOUBLE_EQ(a[static_cast<std::size_t>(j * m + 4)], 0.0);
+  }
+}
+
+TEST(Kernels, PerDestinationSegmentsRoundTrip) {
+  Stream s(test_device());
+  // The displaced-row scatterv layout: one column-major segment per
+  // destination, packed back to back, each with ld = its own row count.
+  // Every segment unpacks on its own.
+  const long m = 11, n = 5;
+  testref::Rand rng(24);
+  const auto src = rng.matrix(static_cast<int>(m), static_cast<int>(n),
+                              static_cast<int>(m));
+  const std::vector<std::vector<long>> seg_rows{{9, 0, 4}, {}, {2, 10}};
+  std::vector<double> wire;
+  std::vector<std::size_t> offs;
+  for (const auto& rows : seg_rows) {
+    offs.push_back(wire.size());
+    wire.resize(wire.size() + rows.size() * static_cast<std::size_t>(n));
+  }
+  for (std::size_t d = 0; d < seg_rows.size(); ++d)
+    row_gather(s, src.data(), m, seg_rows[d], n, wire.data() + offs[d],
+               static_cast<long>(seg_rows[d].size()));
+  std::vector<double> dst(src.size(), 0.0);
+  for (std::size_t d = seg_rows.size(); d-- > 0;)
+    row_scatter(s, dst.data(), m, seg_rows[d], n, wire.data() + offs[d],
+                static_cast<long>(seg_rows[d].size()));
+  s.synchronize();
+  for (long j = 0; j < n; ++j)
+    for (long i = 0; i < m; ++i) {
+      bool moved = false;
+      for (const auto& rows : seg_rows)
+        for (long r : rows) moved = moved || r == i;
+      const auto k = static_cast<std::size_t>(j * m + i);
+      EXPECT_DOUBLE_EQ(dst[k], moved ? src[k] : 0.0)
+          << "i=" << i << " j=" << j;
+    }
 }
 
 TEST(Kernels, EmptyOpsAreNoops) {
   Stream s(test_device());
   gemm<double>(s, 0, 5, 5, 1.0, nullptr, 1, nullptr, 1, 0.0, nullptr, 1);
   row_gather<double>(s, nullptr, 1, {}, 5, nullptr, 1);
-  laswp<double>(s, nullptr, 1, 0, {1, 2});
+  row_scatter<double>(s, nullptr, 1, {1, 2}, 0, nullptr, 2);
   s.synchronize();
   EXPECT_DOUBLE_EQ(s.busy_seconds(), 0.0);
 }
