@@ -2,9 +2,10 @@
 # One-command tier-1 gate: configure + build + full ctest in the default
 # build (warnings-as-errors for src/), then rebuild the concurrency-heavy
 # suites (ctest label "tsan": util/blas/comm/device + the chunked-transport
-# stress and mixed-precision suites) under ThreadSanitizer, then the
-# allocation-heavy suites (ctest label "asan": grid/rng/trace + the
-# hazard-checker, chunked-transport and mixed-precision suites) under
+# stress, solver integration and mixed-precision suites) under
+# ThreadSanitizer, then the allocation-heavy suites (ctest label "asan":
+# grid/rng/trace + the hazard-checker, chunked-transport, solver
+# integration, simulator and mixed-precision suites) under
 # AddressSanitizer+LeakSanitizer+UBSan. The mixed-precision suite also
 # carries the "mxp" label, surfaced as its own tier-1 step so a red MxP
 # gate is visible at a glance (ctest -L mxp re-runs only those tests); the
@@ -68,7 +69,7 @@ else
     -DHPLX_WERROR=ON >/dev/null
   cmake --build "$build_tsan" -j "$jobs" \
     --target test_util test_blas test_comm test_comm_chunked test_device \
-             test_alloc test_mxp test_variants test_commcheck
+             test_hpl test_alloc test_mxp test_variants test_commcheck
   ctest --test-dir "$build_tsan" --output-on-failure -j "$jobs" -L tsan
 fi
 
@@ -80,7 +81,8 @@ else
     -DHPLX_WERROR=ON >/dev/null
   cmake --build "$build_asan" -j "$jobs" \
     --target test_grid test_rng test_trace test_hazard test_comm_chunked \
-             test_alloc test_mxp test_variants test_commcheck
+             test_hpl test_sim test_alloc test_mxp test_variants \
+             test_commcheck
   # LSan rides along with ASan by default on Linux; halt_on_error keeps UB
   # findings fatal so the leg cannot silently pass over them.
   UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}" \

@@ -28,7 +28,8 @@ const char* to_string(FactVariant v);
 
 /// How the per-iteration pipeline is scheduled (§III, Figs. 3 and 6).
 enum class PipelineMode {
-  Simple,          ///< factor, broadcast, swap, update — no overlap
+  Simple,          ///< look-ahead depth 0: swap, update the whole window,
+                   ///< then factor the next panel; no overlap
   Lookahead,       ///< Fig. 3: FACT/LBCAST hidden behind UPDATE
   LookaheadSplit,  ///< Fig. 6: split update also hides row-swap comm
 };

@@ -1,6 +1,7 @@
 #include "core/driver.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <cstdio>
@@ -136,24 +137,78 @@ class Solver {
     Timer wall;
     wall.start();
 
-    switch (cfg_.pipeline) {
-      case PipelineMode::Simple:
-        solve_simple();
-        break;
-      case PipelineMode::Lookahead:
-        solve_lookahead(/*split=*/false);
-        break;
-      case PipelineMode::LookaheadSplit:
-        solve_lookahead(/*split=*/true);
-        break;
-    }
+    // One factorization loop for every PipelineMode; the mode picks only
+    // the iteration's shape. Simple is the look-ahead loop at depth 0 plus
+    // a host drain per iteration, Lookahead is depth 1 (Fig. 3), and
+    // LookaheadSplit runs Fig. 6 while a left section remains.
+    {
+      PanelDataT<T> panel_a, panel_b;
+      panel_a.reserve(cfg_.nb, a_.mloc());
+      panel_b.reserve(cfg_.nb, a_.mloc());
+      PanelDataT<T>* cur = &panel_a;
+      PanelDataT<T>* nxt = &panel_b;
+      const bool split = cfg_.pipeline == PipelineMode::LookaheadSplit;
 
-    // One end-of-factorization drain: backsolve reads A on the primary
-    // stream, but the final iteration's band streams and the data stream's
-    // panel write-back are only ordered against the primary queue — not
-    // against the host reads below (per-stream clocks, verification).
-    pool_.synchronize();
-    data_.synchronize();
+      // Prologue: factor + broadcast panel 0 (exposed, once). Under the
+      // split update the right section starts at local column csplit_ (a
+      // multiple of NB) and its row swaps run one iteration ahead, so panel
+      // 0's right-section swap is communicated here too.
+      IterStats pro;
+      make_panel(0, *cur, BandSection{}, pro);
+      bool pending_right = false;
+      if (split) {
+        const long want_left = static_cast<long>(
+            static_cast<double>(a_.nloc()) * (1.0 - cfg_.split_fraction));
+        csplit_ = std::clamp<long>((want_left / cfg_.nb) * cfg_.nb, 0,
+                                   a_.nloc());
+        right_start_ = start_right_swap(0, *cur, plan_, *rs_right_);
+        rs_right_->communicate(grid_.col_comm(), &pro.mpi, compute_,
+                               u_right_.template data_as<T>(), cfg_.nb,
+                               &pro.rs);
+        pending_right = true;
+      }
+      add_totals(pro);
+
+      int iter = 0;
+      for (long j = 0; j < cfg_.n; j += cfg_.nb, ++iter) {
+        IterStats st;
+        Timer t_iter;
+        t_iter.start();
+        const double gpu0 = pool_.real_busy_seconds();
+        const double xfer0 = data_.real_busy_seconds();
+        snapshot_stream_clocks();
+
+        if (split && col_of(j + jb_at(j)) < right_start_) {
+          pending_right = iterate_split(j, *cur, *nxt, st, pending_right);
+        } else {
+          iterate_lookahead(j, *cur, *nxt, st, pending_right);
+          pending_right = false;
+        }
+        // The look-ahead shapes never block the host here: each iterate_*
+        // joins its banded sections back into the primary stream, so the
+        // next iteration's gathers are event-ordered behind this one's
+        // update while the host runs ahead. Simple drains instead, so no
+        // phase of one iteration overlaps another.
+        if (cfg_.pipeline == PipelineMode::Simple) pool_.synchronize();
+        std::swap(cur, nxt);
+
+        record_iteration(j, iter, t_iter.stop(),
+                         pool_.real_busy_seconds() - gpu0, st,
+                         data_.real_busy_seconds() - xfer0);
+        mark_steady(iter);
+      }
+      finish_steady(iter);
+
+      // One end-of-factorization drain, before the panel double-buffers
+      // go out of scope: the last iteration's bands still read cur->top /
+      // cur->l2 through raw pointers captured at enqueue time, and
+      // backsolve reads A on the primary stream while the band streams and
+      // the data stream's panel write-back are only ordered against the
+      // primary queue — not against the host reads below (per-stream
+      // clocks, verification).
+      pool_.synchronize();
+      data_.synchronize();
+    }
 
     // Backsolve U x = b̂ and (optionally) verify against regenerated data.
     double solve_mpi = 0.0;
@@ -175,10 +230,6 @@ class Solver {
     result.rs_wire_seconds = rs_wire_total_;
     result.rs_wire_bytes = rs_wire_bytes_total_;
     result.rs_unpack_seconds = rs_unpack_total_;
-    result.rs_overlap_efficiency =
-        rs_wire_total_ > 0.0
-            ? std::min(rs_unpack_total_, rs_wire_total_) / rs_wire_total_
-            : 0.0;
     result.transfer_seconds = data_.real_busy_seconds();
     result.gpu_seconds = pool_.real_busy_seconds();
     for (int i = 0; i < pool_.size(); ++i) {
@@ -310,20 +361,45 @@ class Solver {
     }
   }
 
-  /// Prepare `panel` on every rank for column `j` (factor on the owning
-  /// column, receive elsewhere), then broadcast along the row.
-  void make_panel(long j, PanelDataT<T>& panel, IterStats& st) {
+  /// Prepare `panel` on every rank for column `j`, then broadcast it along
+  /// the row. The owning column factors it once the data stream is ordered
+  /// behind `written`, the update bands that wrote its columns. Elsewhere
+  /// the panel double-buffer is reused right away; the previous
+  /// iteration's bands may still be reading it on spare streams, so they
+  /// are fenced before the broadcast writes into it.
+  void make_panel(long j, PanelDataT<T>& panel, const BandSection& written,
+                  IterStats& st) {
     const int jb = jb_at(j);
-    const long ml2 = a_.mloc() - row_of(j + jb);
     if (my_col(j)) {
+      for (const device::Event& ev : written.done) data_.wait_event(ev);
       fact_and_pack(j, jb, panel, st);
     } else {
+      prev_update_.host_wait();
+      device::HostAccessScope recv_guard(
+          dev_.hazard(), "driver.panel_recv",
+          {device::span_write(panel.top.data(), panel.top.size()),
+           device::span_write(panel.l2.data(), panel.l2.size())});
       panel.j = j;
-      panel.resize(jb, ml2);
+      panel.resize(jb, a_.mloc() - row_of(j + jb));
     }
     panel_broadcast(grid_.row_comm(), cfg_.bcast, a_.cols().owner(j), panel,
                     &st.mpi, &cfg_.custom_bcast);
     record_pivots(panel);
+  }
+
+  /// Plan panel `j`'s row swaps into `plan` and start its right-section
+  /// swap on `rs`: prepare the window from max(csplit_, first trailing
+  /// column) to the end and gather its rows. Returns the window's first
+  /// local column.
+  long start_right_swap(long j, const PanelDataT<T>& panel, RowSwapPlan& plan,
+                        RowSwapperT<T>& rs) {
+    const int jb = jb_at(j);
+    build_rowswap_plan(j, jb, panel.ipiv.data(), plan);
+    const long start = std::max<long>(csplit_, col_of(j + jb));
+    rs.prepare(plan, a_, grid_.myrow(), start, a_.nloc() - start, cfg_.swap,
+               cfg_.swap_threshold);
+    rs.gather(compute_, a_);
+    return start;
   }
 
   /// Latch every pool stream's busy clocks at iteration start so
@@ -338,13 +414,18 @@ class Solver {
     }
   }
 
-  void record_iteration(long j, int iter, double total, double gpu,
-                        const IterStats& st, double transfer) {
+  /// Fold one span of work's phase stats into the whole-run totals.
+  void add_totals(const IterStats& st) {
     fact_total_ += st.fact;
     mpi_total_ += st.mpi;
     rs_wire_total_ += st.rs.wire_s;
     rs_unpack_total_ += st.rs.unpack_s;
     rs_wire_bytes_total_ += st.rs.wire_bytes;
+  }
+
+  void record_iteration(long j, int iter, double total, double gpu,
+                        const IterStats& st, double transfer) {
+    add_totals(st);
     if (my_col(j) && my_row(j)) {
       trace::IterationRecord rec;
       rec.iteration = iter;
@@ -517,143 +598,33 @@ class Solver {
     }
   }
 
-  // ------------------------------------------------------ simple pipeline
+  // ---------------------------------------------------- iteration shapes
 
-  void solve_simple() {
-    PanelDataT<T> panel;
-    panel.reserve(cfg_.nb, a_.mloc());
-    int iter = 0;
-    for (long j = 0; j < cfg_.n; j += cfg_.nb, ++iter) {
-      const int jb = jb_at(j);
-      IterStats st;
-      Timer t_iter;
-      t_iter.start();
-      const double gpu0 = pool_.real_busy_seconds();
-      const double xfer0 = data_.real_busy_seconds();
-      snapshot_stream_clocks();
-
-      make_panel(j, panel, st);
-      apply_full_rowswap_and_update(j, jb, panel, st);
-      pool_.synchronize();
-
-      record_iteration(j, iter, t_iter.stop(),
-                       pool_.real_busy_seconds() - gpu0, st,
-                       data_.real_busy_seconds() - xfer0);
-      mark_steady(iter);
-    }
-    finish_steady(iter);
+  /// Local columns of the look-ahead band for the panel at `next`: the
+  /// panel's own columns on its owning column when the pipeline looks
+  /// ahead, none otherwise (no next panel, another owner, or Simple's
+  /// depth 0).
+  long lookahead_cols(long next) const {
+    if (next >= cfg_.n || !my_col(next) ||
+        cfg_.pipeline == PipelineMode::Simple)
+      return 0;
+    return col_of(next + jb_at(next)) - col_of(next);
   }
 
-  void apply_full_rowswap_and_update(long j, int jb, PanelDataT<T>& panel,
-                                     IterStats& st) {
-    build_rowswap_plan(j, jb, panel.ipiv.data(), plan_);
-    const long jl0 = col_of(j + jb);
-    const long njl = a_.nloc() - jl0;
-    rs_main_.prepare(plan_, a_, grid_.myrow(), jl0, njl, cfg_.swap,
-                     cfg_.swap_threshold);
-    rs_main_.gather(compute_, a_);
-    rs_main_.communicate(grid_.col_comm(), &st.mpi, compute_,
-                         u_main_.template data_as<T>(), cfg_.nb, &st.rs);
-    rs_main_.scatter(compute_, a_, u_main_.template data_as<T>(), cfg_.nb);
-    const device::Event u_ready = compute_.record();
-    const BandSection sec = enqueue_update_bands(
-        pool_, u_ready, a_, panel, u_main_.template data_as<T>(), cfg_.nb,
-        jl0, njl, my_row(j), row_of(j), row_of(j + jb),
-        cfg_.update_band_cols, BandPlacement::Spread);
-    sec.join(compute_);
-  }
-
-  // -------------------------------------------- lookahead (+split) driver
-
-  void solve_lookahead(bool split) {
-    PanelDataT<T> panel_a, panel_b;
-    panel_a.reserve(cfg_.nb, a_.mloc());
-    panel_b.reserve(cfg_.nb, a_.mloc());
-    PanelDataT<T>* cur = &panel_a;
-    PanelDataT<T>* nxt = &panel_b;
-
-    // Prologue: factor + broadcast panel 0 (exposed, once).
-    {
-      IterStats st;
-      make_panel(0, *cur, st);
-      fact_total_ += st.fact;
-      mpi_total_ += st.mpi;
-    }
-
-    // Split-update state: the right section starts at local column
-    // csplit_ (a multiple of NB); its row swaps run one iteration ahead.
-    bool pending_right = false;
-    if (split) {
-      const long want_left = static_cast<long>(
-          static_cast<double>(a_.nloc()) * (1.0 - cfg_.split_fraction));
-      csplit_ = std::clamp<long>((want_left / cfg_.nb) * cfg_.nb, 0,
-                                 a_.nloc());
-      IterStats st;
-      build_rowswap_plan(0, jb_at(0), cur->ipiv.data(), plan_);
-      right_start_ = std::max<long>(csplit_, col_of(jb_at(0)));
-      rs_right_->prepare(plan_, a_, grid_.myrow(), right_start_,
-                         a_.nloc() - right_start_, cfg_.swap,
-                         cfg_.swap_threshold);
-      rs_right_->gather(compute_, a_);
-      rs_right_->communicate(grid_.col_comm(), &st.mpi, compute_,
-                             u_right_.template data_as<T>(), cfg_.nb,
-                             &st.rs);
-      pending_right = true;
-      mpi_total_ += st.mpi;
-      rs_wire_total_ += st.rs.wire_s;
-      rs_unpack_total_ += st.rs.unpack_s;
-      rs_wire_bytes_total_ += st.rs.wire_bytes;
-    }
-
-    int iter = 0;
-    for (long j = 0; j < cfg_.n; j += cfg_.nb, ++iter) {
-      IterStats st;
-      Timer t_iter;
-      t_iter.start();
-      const double gpu0 = pool_.real_busy_seconds();
-      const double xfer0 = data_.real_busy_seconds();
-      snapshot_stream_clocks();
-
-      const bool left_remains = split && col_of(j + jb_at(j)) < right_start_;
-      if (left_remains) {
-        pending_right = iterate_split(j, *cur, *nxt, st, pending_right);
-      } else {
-        iterate_lookahead(j, *cur, *nxt, st, pending_right);
-        pending_right = false;
-      }
-      // No host synchronize here: each iterate_* joins its banded sections
-      // back into the primary stream, so the next iteration's gathers are
-      // event-ordered behind this one's update while the host runs ahead
-      // (the driver-level fan-in the multi-stream schedule relies on).
-      std::swap(cur, nxt);
-
-      record_iteration(j, iter, t_iter.stop(),
-                       pool_.real_busy_seconds() - gpu0, st,
-                       data_.real_busy_seconds() - xfer0);
-      mark_steady(iter);
-    }
-    finish_steady(iter);
-
-    // Drain the pool before the panel double-buffers (locals of this
-    // function) are destroyed: the last iteration's bands still read
-    // cur->top / cur->l2 through raw pointers captured at enqueue time.
-    pool_.synchronize();
-  }
-
-  /// One Fig. 3 iteration: row swap exposed, FACT/LBCAST of the next panel
-  /// hidden behind the trailing update. When `use_pending` is set, the row
-  /// swap of the whole window was already communicated by the split-update
-  /// machinery and only needs scattering.
+  /// One look-ahead iteration. At depth 1 it is Fig. 3: row swap exposed,
+  /// FACT/LBCAST of the next panel hidden behind the trailing update. At
+  /// depth 0 (Simple) there is no look-ahead band: every rank updates the
+  /// whole window and the next panel's owner factors it after the bands
+  /// finish. When `use_pending` is set, the row swap of the whole window
+  /// was already communicated by the split-update machinery and only needs
+  /// scattering.
   void iterate_lookahead(long j, PanelDataT<T>& cur, PanelDataT<T>& nxt,
                          IterStats& st, bool use_pending) {
     const int jb = jb_at(j);
     const long next = j + jb;
-    const bool has_next = next < cfg_.n;
-    const int jb_next = has_next ? jb_at(next) : 0;
-    const long jl0 = col_of(j + jb);
+    const long jl0 = col_of(next);
     const long njl = a_.nloc() - jl0;
-    const long la_cols =
-        (has_next && my_col(next)) ? col_of(next + jb_next) - jl0 : 0;
+    const long la_cols = lookahead_cols(next);
 
     T* u = u_main_.template data_as<T>();
     if (use_pending) {
@@ -664,7 +635,7 @@ class Solver {
     } else {
       build_rowswap_plan(j, jb, cur.ipiv.data(), plan_);
       rs_main_.prepare(plan_, a_, grid_.myrow(), jl0, njl, cfg_.swap,
-                     cfg_.swap_threshold);
+                       cfg_.swap_threshold);
       rs_main_.gather(compute_, a_);
       rs_main_.communicate(grid_.col_comm(), &st.mpi, compute_, u, cfg_.nb,
                            &st.rs);
@@ -673,51 +644,24 @@ class Solver {
     const device::Event u_ready = compute_.record();
     const bool in_diag = my_row(j);
     const long u_row = row_of(j);
-    const long tail = row_of(j + jb);
-    BandSection sections;
+    const long tail = row_of(next);
 
-    if (la_cols > 0) {
-      // Update the look-ahead columns first, on the primary alone, so
-      // their completion event fires the moment the band finishes and FACT
-      // starts while the rest of the window still computes (Fig. 3). The
-      // remaining columns fan out across the whole pool.
-      const BandSection la = enqueue_update_bands(
-          pool_, u_ready, a_, cur, u, cfg_.nb, jl0, la_cols, in_diag, u_row,
-          tail, cfg_.update_band_cols, BandPlacement::PrimaryOnly);
-      const BandSection rest = enqueue_update_bands(
-          pool_, u_ready, a_, cur, u + la_cols * cfg_.nb, cfg_.nb,
-          jl0 + la_cols, njl - la_cols, in_diag, u_row, tail,
-          cfg_.update_band_cols, BandPlacement::Spread);
-      for (const device::Event& ev : la.done) data_.wait_event(ev);
-      fact_and_pack(next, jb_next, nxt, st);
-      rest.join(compute_);
-      sections = la;
-      sections.done.insert(sections.done.end(), rest.done.begin(),
-                           rest.done.end());
-    } else {
-      sections = enqueue_update_bands(
-          pool_, u_ready, a_, cur, u, cfg_.nb, jl0, njl, in_diag, u_row,
-          tail, cfg_.update_band_cols, BandPlacement::Spread);
-      sections.join(compute_);
-      if (has_next) {
-        // Non-owner ranks reuse the panel double-buffer right away; the
-        // previous iteration's bands may still be reading it on spare
-        // streams, so fence them before the broadcast writes into it.
-        prev_update_.host_wait();
-        device::HostAccessScope recv_guard(
-            dev_.hazard(), "driver.panel_recv",
-            {device::span_write(nxt.top.data(), nxt.top.size()),
-             device::span_write(nxt.l2.data(), nxt.l2.size())});
-        nxt.j = next;
-        nxt.resize(jb_next, a_.mloc() - row_of(next + jb_next));
-      }
-    }
-    if (has_next) {
-      panel_broadcast(grid_.row_comm(), cfg_.bcast, a_.cols().owner(next),
-                      nxt, &st.mpi, &cfg_.custom_bcast);
-      record_pivots(nxt);
-    }
-    prev_update_ = std::move(sections);
+    // Update the look-ahead columns first, on the primary alone, so their
+    // completion event fires the moment the band finishes and FACT starts
+    // while the rest of the window still computes (Fig. 3). The remaining
+    // columns fan out across the whole pool.
+    const BandSection la = enqueue_update_bands(
+        pool_, u_ready, a_, cur, u, cfg_.nb, jl0, la_cols, in_diag, u_row,
+        tail, cfg_.update_band_cols, BandPlacement::PrimaryOnly);
+    const BandSection rest = enqueue_update_bands(
+        pool_, u_ready, a_, cur, u + la_cols * cfg_.nb, cfg_.nb,
+        jl0 + la_cols, njl - la_cols, in_diag, u_row, tail,
+        cfg_.update_band_cols, BandPlacement::Spread);
+    if (next < cfg_.n) make_panel(next, nxt, la_cols > 0 ? la : rest, st);
+    rest.join(compute_);
+    prev_update_ = la;
+    prev_update_.done.insert(prev_update_.done.end(), rest.done.begin(),
+                             rest.done.end());
   }
 
   /// One Fig. 6 iteration: the right-section row swap of this panel was
@@ -730,16 +674,14 @@ class Solver {
     const int jb = jb_at(j);
     const long next = j + jb;
     const bool has_next = next < cfg_.n;
-    const int jb_next = has_next ? jb_at(next) : 0;
-    const long jl0 = col_of(j + jb);
-    const long la_cols =
-        (has_next && my_col(next)) ? col_of(next + jb_next) - jl0 : 0;
+    const long jl0 = col_of(next);
+    const long la_cols = lookahead_cols(next);
     const long left_start = jl0 + la_cols;
     const long left_cols = right_start_ - left_start;
     HPLX_CHECK(left_cols >= 0);
     const bool in_diag = my_row(j);
     const long u_row = row_of(j);
-    const long tail = row_of(j + jb);
+    const long tail = row_of(next);
 
     build_rowswap_plan(j, jb, cur.ipiv.data(), plan_);
 
@@ -762,13 +704,13 @@ class Solver {
     // it FACT — would wait behind the whole right section).
     BandSection update2;
     const bool early_right = pool_.size() > 1;
-    const long right_cols = a_.nloc() - right_start_;
-    if (early_right) {
+    auto enqueue_update2 = [&] {
       update2 = enqueue_update_bands(
           pool_, right_ready, a_, cur, u_right_.template data_as<T>(),
-          cfg_.nb, right_start_, right_cols, in_diag, u_row, tail,
-          cfg_.update_band_cols, BandPlacement::SparePrimary);
-    }
+          cfg_.nb, right_start_, a_.nloc() - right_start_, in_diag, u_row,
+          tail, cfg_.update_band_cols, BandPlacement::SparePrimary);
+    };
+    if (early_right) enqueue_update2();
 
     // Look-ahead: swap, update on the primary, stage to host.
     rs_la_.communicate(grid_.col_comm(), &st.mpi, compute_,
@@ -780,33 +722,10 @@ class Solver {
         la_cols, in_diag, u_row, tail, cfg_.update_band_cols,
         BandPlacement::PrimaryOnly);
 
-    if (!early_right) {
-      update2 = enqueue_update_bands(
-          pool_, right_ready, a_, cur, u_right_.template data_as<T>(),
-          cfg_.nb, right_start_, right_cols, in_diag, u_row, tail,
-          cfg_.update_band_cols, BandPlacement::SparePrimary);
-    }
+    if (!early_right) enqueue_update2();
 
     // Hidden by UPDATE2: panel transfer + FACT + LBCAST ...
-    if (la_cols > 0) {
-      for (const device::Event& ev : la_sec.done) data_.wait_event(ev);
-      fact_and_pack(next, jb_next, nxt, st);
-    } else if (has_next) {
-      // Fence the previous iteration's bands off the recycled panel buffer
-      // before the broadcast writes into it (non-owner ranks only).
-      prev_update_.host_wait();
-      device::HostAccessScope recv_guard(
-          dev_.hazard(), "driver.panel_recv",
-          {device::span_write(nxt.top.data(), nxt.top.size()),
-           device::span_write(nxt.l2.data(), nxt.l2.size())});
-      nxt.j = next;
-      nxt.resize(jb_next, a_.mloc() - row_of(next + jb_next));
-    }
-    if (has_next) {
-      panel_broadcast(grid_.row_comm(), cfg_.bcast, a_.cols().owner(next),
-                      nxt, &st.mpi, &cfg_.custom_bcast);
-      record_pivots(nxt);
-    }
+    if (has_next) make_panel(next, nxt, la_sec, st);
     // ... and the RS1 communication (its rows were gathered up front). The
     // fused unpacks land on the primary and only write u_left_, which
     // nothing reads until UPDATE1's bands (gated on left_ready below).
@@ -817,17 +736,9 @@ class Solver {
     // The gather reads columns UPDATE2 writes, and UPDATE2's bands live on
     // other streams now — join them into the primary first.
     update2.join(compute_);
-    bool pending = false;
-    long next_right_start = right_start_;
-    if (has_next) {
-      build_rowswap_plan(next, jb_next, nxt.ipiv.data(), plan_next_);
-      next_right_start = std::max<long>(csplit_, col_of(next + jb_next));
-      rs_right_next_->prepare(plan_next_, a_, grid_.myrow(), next_right_start,
-                              a_.nloc() - next_right_start, cfg_.swap,
-                              cfg_.swap_threshold);
-      rs_right_next_->gather(compute_, a_);
-      pending = true;
-    }
+    const long next_right_start =
+        has_next ? start_right_swap(next, nxt, plan_next_, *rs_right_next_)
+                 : right_start_;
 
     // UPDATE1 (left section): scatter RS1 rows, update across the pool.
     rs_left_.scatter(compute_, a_, u_left_.template data_as<T>(), cfg_.nb);
@@ -855,7 +766,7 @@ class Solver {
                              update2.done.end());
     prev_update_.done.insert(prev_update_.done.end(), left_sec.done.begin(),
                              left_sec.done.end());
-    return pending;
+    return has_next;
   }
 
   // --------------------------------------------------------------- trace
@@ -1024,6 +935,13 @@ HplResult run_hpl(comm::Communicator& world, const HplConfig& cfg) {
   HPLX_CHECK_MSG(cfg.swap_chunk_bytes >= 0,
                  "swap_chunk_bytes must be >= 0 (0 = autotune), got "
                  << cfg.swap_chunk_bytes);
+  // Checked here, before any rank communicates, so every rank throws: the
+  // split geometry casts nloc * (1 - split_fraction) to an integer, which
+  // is undefined for NaN.
+  HPLX_CHECK_MSG(std::isfinite(cfg.split_fraction) &&
+                     cfg.split_fraction >= 0.0 && cfg.split_fraction <= 1.0,
+                 "split_fraction must be in [0, 1], got "
+                     << cfg.split_fraction);
   // The multi-RHS solve (backsolve, verify, refine) assumes every RHS
   // column shares the trailing column block with classic column N, so one
   // process column owns the whole b̂ panel contiguously.

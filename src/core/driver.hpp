@@ -73,14 +73,12 @@ struct HplResult {
   double transfer_seconds = 0.0;
   double gpu_seconds = 0.0;
 
-  /// Row-swap pipeline totals: wall time inside the U-assembly collective,
-  /// modeled device seconds of the unpacks fused into chunk delivery, and
-  /// their ratio min(unpack, wire)/wire — the fraction of deserialization
-  /// the chunked broadcast hid behind its own wire traffic. unpack/overlap
-  /// are zero on the unfused (seed) path.
+  /// Row-swap pipeline totals: measured wall time inside the U-assembly
+  /// collective, and *modeled* device seconds of the unpacks fused into
+  /// chunk delivery (zero on the unfused path). The two are on different
+  /// clocks, so no ratio of them is reported.
   double rs_wire_seconds = 0.0;
   double rs_unpack_seconds = 0.0;
-  double rs_overlap_efficiency = 0.0;
   /// Bytes the row-swap collectives put on the wire (this rank), summed
   /// over every window: U-assembly allgatherv + displaced scatterv. Zero
   /// when pivoting == PivotMode::None — the no-pivot path replaces the

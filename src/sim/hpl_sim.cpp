@@ -145,8 +145,6 @@ class IterationModel {
     return lat + bytes / bw;
   }
 
-  const FactModel& fact_model() const { return fact_; }
-
  private:
   const NodeModel& node_;
   const ClusterConfig& cfg_;
@@ -157,142 +155,218 @@ class IterationModel {
   device::Precision prec_ = device::Precision::FP64;
 };
 
-}  // namespace
+/// Lanes of the modeled timeline, in TimelineEvent::lane spelling.
+constexpr const char* kGpu = "GPU";
+constexpr const char* kCpu = "CPU";
+constexpr const char* kMpi = "MPI";
+constexpr const char* kXfer = "XFER";
 
-SimResult simulate_hpl(const NodeModel& node, const ClusterConfig& cfg) {
-  HPLX_CHECK(cfg.p >= 1 && cfg.q >= 1 && cfg.n >= cfg.nb);
-  HPLX_CHECK(cfg.p_node * cfg.q_node == node.gcds || cfg.nodes == 1);
-  IterationModel m(node, cfg);
+/// One iteration's modeled schedule, laid down bar by bar. Each drawn bar
+/// folds into the record as it is placed: the MPI, CPU and XFER lanes sum
+/// into mpi_s, fact_s and transfer_s, the GPU lane's uncredited lengths
+/// into gpu_s, and total_s is max(span, gpu_s) — overlapped unpacks still
+/// occupy the device. The record is thereby the fold of its own timeline.
+class Schedule {
+ public:
+  explicit Schedule(std::vector<TimelineEvent>* events) : events_(events) {}
 
-  SimResult out;
+  /// Place a `dur`-second bar on `lane` at `start`, of which the last
+  /// `hidden` seconds overlap a comm window (the pipelined-unpack credit)
+  /// and leave the critical path. Returns the bar's end; empty bars are
+  /// not drawn.
+  double bar(const char* lane, const char* label, double start, double dur,
+             double hidden = 0.0) {
+    const double end = start + dur - hidden;
+    if (end <= start) return end;
+    span_ = std::max(span_, end);
+    if (lane == kGpu) rec_.gpu_s += dur;
+    if (lane == kCpu) rec_.fact_s += dur;
+    if (lane == kMpi) rec_.mpi_s += dur;
+    if (lane == kXfer) rec_.transfer_s += dur;
+    if (events_ != nullptr)
+      events_->push_back(TimelineEvent{lane, label, start, end, hidden});
+    return end;
+  }
+
+  trace::IterationRecord record() const {
+    trace::IterationRecord rec = rec_;
+    rec.total_s = std::max(span_, rec.gpu_s);
+    return rec;
+  }
+
+ private:
+  std::vector<TimelineEvent>* events_;
+  trace::IterationRecord rec_;
+  double span_ = 0.0;
+};
+
+/// The one composition of each pipeline shape. Prices iteration `iter`'s
+/// geometry, durations and pipelined-unpack credits, lays its bars on a
+/// Schedule and returns the folded record; `events`, when non-null,
+/// receives the bars.
+trace::IterationRecord build_iteration(const IterationModel& m,
+                                       const ClusterConfig& cfg, int iter,
+                                       std::vector<TimelineEvent>* events) {
   const double nb = cfg.nb;
+  const long j = static_cast<long>(iter) * cfg.nb;
+  HPLX_CHECK(j >= 0 && j < cfg.n);
 
-  // Fixed split geometry (local columns per rank).
+  // Exact block-cyclic geometry of the rank recording this iteration —
+  // the diagonal-panel owner, as in the paper's Fig. 7 instrumentation.
+  // Its local row/column counts vary iteration to iteration, which is
+  // what gives the published curves their jagged texture.
+  const double jb = std::min<double>(nb, static_cast<double>(cfg.n - j));
+  const int prow = grid::indxg2p(j, cfg.nb, cfg.p);
+  const int pcol = grid::indxg2p(j, cfg.nb, cfg.q);
+  const double m_panel = static_cast<double>(
+      grid::numroc(cfg.n, cfg.nb, prow, cfg.p) -
+      grid::numroc(j, cfg.nb, prow, cfg.p));             // FACT rows
+  const double m_tail = static_cast<double>(
+      grid::numroc(cfg.n, cfg.nb, prow, cfg.p) -
+      grid::numroc(j + static_cast<long>(jb), cfg.nb, prow, cfg.p));
+  const double nloc = static_cast<double>(
+      grid::numroc(cfg.n + 1, cfg.nb, pcol, cfg.q) -
+      grid::numroc(j + static_cast<long>(jb), cfg.nb, pcol, cfg.q));
+  const double la = std::min(nloc, jb);                  // look-ahead cols
+
+  // Fixed split geometry (local columns per rank): the right section's
+  // width n2, and what remains of the left section this iteration.
   const double nloc0 = static_cast<double>(cfg.n + 1) / cfg.q;
   const double n2 =
       cfg.pipeline == core::PipelineMode::LookaheadSplit
           ? std::floor(nloc0 * cfg.split_fraction / nb) * nb
           : 0.0;
+  const double left = std::max(0.0, nloc - la - n2);
 
+  // The host chain: stage the panel down, factor it, stage it back up
+  // and broadcast it along the row. Returns when LBCAST ends.
+  const double xfer1 = m.transfer_seconds(m_panel) / 2.0;  // each way
+  const double fact_cpu = m.fact_compute_seconds(m_panel);
+  const double fact_mpi = m.fact_comm_seconds();
+  const double lbcast = m.lbcast_seconds(m_tail);
+  auto host_chain = [&](Schedule& s, double t) {
+    t = s.bar(kXfer, "panel D2H", t, xfer1);
+    t = s.bar(kCpu, "FACT", t, fact_cpu);
+    t = s.bar(kMpi, "FACT pivots", t, fact_mpi);
+    t = s.bar(kXfer, "panel H2D", t, xfer1);
+    return s.bar(kMpi, "LBCAST", t, lbcast);
+  };
+
+  Schedule s(events);
+  if (cfg.pipeline == core::PipelineMode::LookaheadSplit && left > 0.0) {
+    // Fig. 6: UPDATE2 (right) hides the host chain and RS1; UPDATE1
+    // (left) hides the next panel's RS2. Durations:
+    const double right = n2;
+    const double d_gathers = m.rs_device_seconds(la + left);
+    const double d_scatter_right = 2.0 * m.rs_device_seconds(right);
+    const double d_la =
+        m.rs_device_seconds(la) + m.update_seconds(m_tail, la);
+    const double d_up2 = m.update_seconds(m_tail, right);
+    const double d_gather_next = m.rs_device_seconds(right);
+    const double d_up1 =
+        2.0 * m.rs_device_seconds(left) + m.update_seconds(m_tail, left);
+    const double la_comm = m.rs_comm_seconds(la);
+    const double rs1_comm = m.rs_comm_seconds(left);
+    const double rs2_comm = m.rs_comm_seconds(right);
+
+    // Lay the shape (in the driver's enqueue order) with the given
+    // credits and report the moments that bound them.
+    struct Moments {
+      double gpu_pre, la_comm_end, gather_next_done, rs1_done, gpu_end,
+          rs2_done;
+    };
+    auto lay = [&](Schedule& out, double cr_la, double cr_left,
+                   double cr_right) {
+      Moments t{};
+      t.gpu_pre = out.bar(kGpu, "gather LA+left / scatter RS2", 0.0,
+                          d_gathers + d_scatter_right, cr_right);
+      t.la_comm_end =
+          out.bar(kMpi, "RS(look-ahead) comm", d_gathers, la_comm);
+      const double la_done =
+          out.bar(kGpu, "UPDATE(look-ahead)",
+                  std::max(t.gpu_pre, d_gathers + la_comm), d_la, cr_la);
+      const double fact_done = host_chain(out, la_done);
+      const double up2_done = out.bar(kGpu, "UPDATE2 (right)", la_done, d_up2);
+      t.rs1_done = out.bar(kMpi, "RS1 (left) comm", fact_done, rs1_comm);
+      t.gather_next_done =
+          out.bar(kGpu, "gather RS2(next)", std::max(up2_done, fact_done),
+                  d_gather_next);
+      t.gpu_end = out.bar(kGpu, "UPDATE1 (left)",
+                          std::max(t.gather_next_done, t.rs1_done), d_up1,
+                          cr_left);
+      t.rs2_done =
+          out.bar(kMpi, "RS2(next) comm", t.gather_next_done, rs2_comm);
+      return t;
+    };
+
+    // Each section's fused chunk unpacks run inside its own comm window,
+    // but only shorten the path where that window is exposed in the
+    // uncredited schedule — the device must be idle while the chunks
+    // arrive. The right section's unpack sits in the opening GPU bar,
+    // overlapping the previous iteration's RS2 wire tail (same shape at
+    // fixed geometry).
+    Schedule dry(nullptr);
+    const Moments t0 = lay(dry, 0.0, 0.0, 0.0);
+    lay(s,
+        std::min(m.rs_pipeline_credit_seconds(la),
+                 std::max(0.0, t0.la_comm_end - t0.gpu_pre)),
+        std::min(m.rs_pipeline_credit_seconds(left),
+                 std::max(0.0, t0.rs1_done - t0.gather_next_done)),
+        std::min(m.rs_pipeline_credit_seconds(right),
+                 std::max(0.0, t0.rs2_done - t0.gpu_end)));
+  } else {
+    // Simple and Fig. 3 share the exposed whole-window row swap: gather,
+    // comm, then scatter + U assembly. The fused chunk unpacks shorten the
+    // last leg; the comm window is fully exposed, so the credit applies
+    // whole.
+    const bool simple = cfg.pipeline == core::PipelineMode::Simple;
+    const double d_gather = m.rs_device_seconds(nloc);
+    // Simple runs every phase on the critical path, the host chain first.
+    double t = simple ? host_chain(s, 0.0) : 0.0;
+    t = s.bar(kGpu, simple ? "RS gather" : "RS gather/scatter", t, d_gather);
+    t = s.bar(kMpi, "RS comm", t, m.rs_comm_seconds(nloc));
+    t = s.bar(kGpu, "RS scatter + U", t, 2.0 * d_gather,
+              m.rs_pipeline_credit_seconds(nloc));
+    if (simple) {
+      s.bar(kGpu, "UPDATE", t, m.update_seconds(m_tail, nloc));
+    } else {
+      // Fig. 3: FACT/LBCAST hidden behind the trailing update of the
+      // non-look-ahead columns.
+      const double la_done =
+          s.bar(kGpu, "UPDATE(look-ahead)", t, m.update_seconds(m_tail, la));
+      s.bar(kGpu, "UPDATE(rest)", la_done, m.update_seconds(m_tail, nloc - la));
+      host_chain(s, la_done);
+    }
+  }
+
+  trace::IterationRecord rec = s.record();
+  rec.iteration = iter;
+  rec.column = j;
+  return rec;
+}
+
+/// Reject configurations the composition cannot price.
+void check_config(const NodeModel& node, const ClusterConfig& cfg) {
+  HPLX_CHECK(cfg.p >= 1 && cfg.q >= 1 && cfg.n >= cfg.nb);
+  HPLX_CHECK(cfg.p_node * cfg.q_node == node.gcds || cfg.nodes == 1);
+  HPLX_CHECK_MSG(std::isfinite(cfg.split_fraction) &&
+                     cfg.split_fraction >= 0.0 && cfg.split_fraction <= 1.0,
+                 "split_fraction must be in [0, 1], got "
+                     << cfg.split_fraction);
+}
+
+}  // namespace
+
+SimResult simulate_hpl(const NodeModel& node, const ClusterConfig& cfg) {
+  check_config(node, cfg);
+  const IterationModel m(node, cfg);
+
+  SimResult out;
   double hidden_flops = 0.0, hidden_time = 0.0;
-
   int iter = 0;
   for (long j = 0; j < cfg.n; j += cfg.nb, ++iter) {
-    const double jb = std::min<double>(nb, static_cast<double>(cfg.n - j));
-    // Exact block-cyclic geometry of the rank recording this iteration —
-    // the diagonal-panel owner, as in the paper's Fig. 7 instrumentation.
-    // Its local row/column counts vary iteration to iteration, which is
-    // what gives the published curves their jagged texture.
-    const int prow = grid::indxg2p(j, cfg.nb, cfg.p);
-    const int pcol = grid::indxg2p(j, cfg.nb, cfg.q);
-    const double m_panel = static_cast<double>(
-        grid::numroc(cfg.n, cfg.nb, prow, cfg.p) -
-        grid::numroc(j, cfg.nb, prow, cfg.p));             // FACT rows
-    const double m_tail = static_cast<double>(
-        grid::numroc(cfg.n, cfg.nb, prow, cfg.p) -
-        grid::numroc(j + static_cast<long>(jb), cfg.nb, prow, cfg.p));
-    const double nloc = static_cast<double>(
-        grid::numroc(cfg.n + 1, cfg.nb, pcol, cfg.q) -
-        grid::numroc(j + static_cast<long>(jb), cfg.nb, pcol, cfg.q));
-    const double la = std::min(nloc, jb);                  // look-ahead cols
-
-    const double fact_cpu = m.fact_compute_seconds(m_panel);
-    const double fact_mpi = m.fact_comm_seconds();
-    const double xfer = m.transfer_seconds(m_panel);
-    const double lbcast = m.lbcast_seconds(m_tail);
-    const double host_chain = xfer + fact_cpu + fact_mpi + lbcast;
-
-    trace::IterationRecord rec;
-    rec.iteration = iter;
-    rec.column = j;
-    rec.fact_s = fact_cpu;
-    rec.transfer_s = xfer;
-
-    const double left = std::max(0.0, nloc - la - n2);
-    const bool split_active =
-        cfg.pipeline == core::PipelineMode::LookaheadSplit && left > 0.0;
-
-    if (cfg.pipeline == core::PipelineMode::Simple) {
-      // Everything sequential: fact chain, RS, update.
-      const double rs_dev = 3.0 * m.rs_device_seconds(nloc);
-      const double up = m.update_seconds(m_tail, nloc);
-      rec.mpi_s = fact_mpi + lbcast + m.rs_comm_seconds(nloc);
-      rec.gpu_s = rs_dev + up;
-      rec.total_s = host_chain + m.rs_comm_seconds(nloc) + rs_dev + up -
-                    m.rs_pipeline_credit_seconds(nloc);
-    } else if (!split_active) {
-      // Fig. 3: RS exposed up front; FACT/LBCAST hidden behind the
-      // trailing update of the non-look-ahead columns.
-      const double rs_comm = m.rs_comm_seconds(nloc);
-      const double rs_dev = 3.0 * m.rs_device_seconds(nloc);
-      const double up_la = m.update_seconds(m_tail, la);
-      const double up_rest = m.update_seconds(m_tail, nloc - la);
-      rec.mpi_s = fact_mpi + lbcast + rs_comm;
-      rec.gpu_s = rs_dev + up_la + up_rest;
-      rec.total_s = rs_comm + rs_dev - m.rs_pipeline_credit_seconds(nloc) +
-                    up_la + std::max(up_rest, host_chain);
-    } else {
-      // Fig. 6. Durations:
-      const double right = n2;
-      const double d_gathers = m.rs_device_seconds(la + left);
-      const double d_scatter_right = 2.0 * m.rs_device_seconds(right);
-      const double d_la =
-          m.rs_device_seconds(la) + m.update_seconds(m_tail, la);
-      const double d_up2 = m.update_seconds(m_tail, right);
-      const double d_gather_next = m.rs_device_seconds(right);
-      const double d_up1 =
-          2.0 * m.rs_device_seconds(left) + m.update_seconds(m_tail, left);
-      const double la_comm = m.rs_comm_seconds(la);
-      const double rs1_comm = m.rs_comm_seconds(left);
-      const double rs2_comm = m.rs_comm_seconds(right);
-
-      // Timeline (matches the driver's enqueue order): first uncredited,
-      // whose slack bounds how much unpack each comm window can hide.
-      const double gpu_pre0 = d_gathers + d_scatter_right;
-      const double la_ready0 = std::max(gpu_pre0, d_gathers + la_comm);
-      const double la_done0 = la_ready0 + d_la;
-      const double fact_done0 = la_done0 + host_chain;
-      const double up2_done0 = la_done0 + d_up2;
-      const double rs1_done0 = fact_done0 + rs1_comm;
-      const double gather_next_done0 =
-          std::max(up2_done0, fact_done0) + d_gather_next;
-      const double gpu_end0 = std::max(gather_next_done0, rs1_done0) + d_up1;
-      const double rs2_done0 = gather_next_done0 + rs2_comm;
-
-      // Each section's fused chunk unpacks run inside its own comm
-      // window, but only shorten the path where that window is exposed —
-      // the device must be idle while the chunks arrive. The right
-      // section's unpack sits in gpu_pre, overlapping the previous
-      // iteration's RS2 wire tail (same shape at fixed geometry).
-      const double cr_la =
-          std::min(m.rs_pipeline_credit_seconds(la),
-                   std::max(0.0, d_gathers + la_comm - gpu_pre0));
-      const double cr_left =
-          std::min(m.rs_pipeline_credit_seconds(left),
-                   std::max(0.0, rs1_done0 - gather_next_done0));
-      const double cr_right =
-          std::min(m.rs_pipeline_credit_seconds(right),
-                   std::max(0.0, rs2_done0 - gpu_end0));
-
-      const double gpu_pre = gpu_pre0 - cr_right;
-      const double la_ready = std::max(gpu_pre, d_gathers + la_comm);
-      const double la_done = la_ready + d_la - cr_la;
-      const double fact_done = la_done + host_chain;
-      const double up2_done = la_done + d_up2;
-      const double rs1_done = fact_done + rs1_comm;
-      const double gather_next_done =
-          std::max(up2_done, fact_done) + d_gather_next;
-      const double up1_start = std::max(gather_next_done, rs1_done);
-      const double gpu_end = up1_start + d_up1 - cr_left;
-      const double rs2_done = gather_next_done + rs2_comm;
-
-      rec.mpi_s = fact_mpi + lbcast + la_comm + rs1_comm + rs2_comm;
-      // Busy time counts the uncredited durations: overlapped unpacks
-      // still occupy the device, they just leave the critical path.
-      rec.gpu_s = gpu_pre0 + d_la + d_up2 + d_gather_next + d_up1;
-      rec.total_s = std::max({gpu_end, rs2_done, rec.gpu_s});
-    }
-
+    const trace::IterationRecord rec =
+        build_iteration(m, cfg, iter, /*events=*/nullptr);
     out.trace.iterations.push_back(rec);
     out.seconds += rec.total_s;
     out.gpu_seconds += rec.gpu_s;
@@ -301,6 +375,7 @@ SimResult simulate_hpl(const NodeModel& node, const ClusterConfig& cfg) {
     out.transfer_seconds += rec.transfer_s;
 
     // Global flops retired this iteration ≈ 2·mg·ng·jb.
+    const double jb = std::min<double>(cfg.nb, static_cast<double>(cfg.n - j));
     const double mg = static_cast<double>(cfg.n - j);
     const double iter_flops = 2.0 * mg * mg * jb;
     if (rec.total_s <= rec.gpu_s * 1.05) {
@@ -318,148 +393,9 @@ SimResult simulate_hpl(const NodeModel& node, const ClusterConfig& cfg) {
 std::vector<TimelineEvent> iteration_timeline(const NodeModel& node,
                                               const ClusterConfig& cfg,
                                               int iteration) {
-  IterationModel m(node, cfg);
-  const double nb = cfg.nb;
-  const long j = static_cast<long>(iteration) * cfg.nb;
-  HPLX_CHECK(j >= 0 && j < cfg.n);
-
-  const double jb = std::min<double>(nb, static_cast<double>(cfg.n - j));
-  const int prow = grid::indxg2p(j, cfg.nb, cfg.p);
-  const int pcol = grid::indxg2p(j, cfg.nb, cfg.q);
-  const double m_panel = static_cast<double>(
-      grid::numroc(cfg.n, cfg.nb, prow, cfg.p) -
-      grid::numroc(j, cfg.nb, prow, cfg.p));
-  const double m_tail = static_cast<double>(
-      grid::numroc(cfg.n, cfg.nb, prow, cfg.p) -
-      grid::numroc(j + static_cast<long>(jb), cfg.nb, prow, cfg.p));
-  const double nloc = static_cast<double>(
-      grid::numroc(cfg.n + 1, cfg.nb, pcol, cfg.q) -
-      grid::numroc(j + static_cast<long>(jb), cfg.nb, pcol, cfg.q));
-  const double la = std::min(nloc, jb);
-
-  const double nloc0 = static_cast<double>(cfg.n + 1) / cfg.q;
-  const double n2 =
-      cfg.pipeline == core::PipelineMode::LookaheadSplit
-          ? std::floor(nloc0 * cfg.split_fraction / nb) * nb
-          : 0.0;
-  const double left = std::max(0.0, nloc - la - n2);
-
-  const double xfer1 = m.transfer_seconds(m_panel) / 2.0;  // D2H
-  const double xfer2 = xfer1;                              // H2D
-  const double fact_cpu = m.fact_compute_seconds(m_panel);
-  const double fact_mpi = m.fact_comm_seconds();
-  const double lbcast = m.lbcast_seconds(m_tail);
-
+  check_config(node, cfg);
   std::vector<TimelineEvent> ev;
-  auto add = [&ev](const char* lane, std::string label, double s, double e) {
-    if (e > s) ev.push_back(TimelineEvent{lane, std::move(label), s, e});
-  };
-
-  if (cfg.pipeline == core::PipelineMode::LookaheadSplit && left > 0.0) {
-    // Fig. 6 schedule.
-    const double right = n2;
-    const double d_gathers = m.rs_device_seconds(la + left);
-    const double d_scatter_right = 2.0 * m.rs_device_seconds(right);
-    const double d_la =
-        m.rs_device_seconds(la) + m.update_seconds(m_tail, la);
-    const double d_up2 = m.update_seconds(m_tail, right);
-    const double d_gather_next = m.rs_device_seconds(right);
-    const double d_up1 =
-        2.0 * m.rs_device_seconds(left) + m.update_seconds(m_tail, left);
-    const double la_comm = m.rs_comm_seconds(la);
-    const double rs1_comm = m.rs_comm_seconds(left);
-    const double rs2_comm = m.rs_comm_seconds(right);
-
-    // Pipelined-broadcast credits, clamped by the exposed comm slack of
-    // the uncredited chain — same composition as simulate_hpl.
-    const double gpu_pre0 = d_gathers + d_scatter_right;
-    const double la_done0 = std::max(gpu_pre0, d_gathers + la_comm) + d_la;
-    const double fact_done0 = la_done0 + (xfer1 + fact_cpu + fact_mpi +
-                                          xfer2 + lbcast);
-    const double up2_done0 = la_done0 + d_up2;
-    const double rs1_done0 = fact_done0 + rs1_comm;
-    const double gather_next_done0 =
-        std::max(up2_done0, fact_done0) + d_gather_next;
-    const double gpu_end0 = std::max(gather_next_done0, rs1_done0) + d_up1;
-    const double cr_la =
-        std::min(m.rs_pipeline_credit_seconds(la),
-                 std::max(0.0, d_gathers + la_comm - gpu_pre0));
-    const double cr_left =
-        std::min(m.rs_pipeline_credit_seconds(left),
-                 std::max(0.0, rs1_done0 - gather_next_done0));
-    const double cr_right =
-        std::min(m.rs_pipeline_credit_seconds(right),
-                 std::max(0.0, gather_next_done0 + rs2_comm - gpu_end0));
-
-    const double gpu_pre = gpu_pre0 - cr_right;
-    add("GPU", "gather LA+left / scatter RS2", 0.0, gpu_pre);
-    add("MPI", "RS(look-ahead) comm", d_gathers, d_gathers + la_comm);
-    const double la_ready = std::max(gpu_pre, d_gathers + la_comm);
-    const double la_done = la_ready + d_la - cr_la;
-    add("GPU", "UPDATE(look-ahead)", la_ready, la_done);
-    add("XFER", "panel D2H", la_done, la_done + xfer1);
-    add("CPU", "FACT", la_done + xfer1, la_done + xfer1 + fact_cpu);
-    add("MPI", "FACT pivots", la_done + xfer1 + fact_cpu,
-        la_done + xfer1 + fact_cpu + fact_mpi);
-    const double h2d0 = la_done + xfer1 + fact_cpu + fact_mpi;
-    add("XFER", "panel H2D", h2d0, h2d0 + xfer2);
-    add("MPI", "LBCAST", h2d0 + xfer2, h2d0 + xfer2 + lbcast);
-    const double fact_done = h2d0 + xfer2 + lbcast;
-    const double up2_done = la_done + d_up2;
-    add("GPU", "UPDATE2 (right)", la_done, up2_done);
-    add("MPI", "RS1 (left) comm", fact_done, fact_done + rs1_comm);
-    const double rs1_done = fact_done + rs1_comm;
-    const double gather_next_done =
-        std::max(up2_done, fact_done) + d_gather_next;
-    add("GPU", "gather RS2(next)", std::max(up2_done, fact_done),
-        gather_next_done);
-    const double up1_start = std::max(gather_next_done, rs1_done);
-    add("GPU", "UPDATE1 (left)", up1_start, up1_start + d_up1 - cr_left);
-    add("MPI", "RS2(next) comm", gather_next_done,
-        gather_next_done + rs2_comm);
-  } else if (cfg.pipeline != core::PipelineMode::Simple) {
-    // Fig. 3 schedule.
-    const double rs_comm = m.rs_comm_seconds(nloc);
-    const double rs_dev = 3.0 * m.rs_device_seconds(nloc);
-    const double up_la = m.update_seconds(m_tail, la);
-    const double up_rest = m.update_seconds(m_tail, nloc - la);
-
-    // The fused chunk unpacks shorten the post-comm scatter+U leg: the
-    // comm window here is fully exposed, so the credit applies whole.
-    const double cr = m.rs_pipeline_credit_seconds(nloc);
-    add("MPI", "RS comm", rs_dev / 3.0, rs_dev / 3.0 + rs_comm);
-    add("GPU", "RS gather/scatter", 0.0, rs_dev / 3.0);
-    const double t0 = rs_dev / 3.0 + rs_comm;
-    add("GPU", "RS scatter + U", t0, t0 + 2.0 * rs_dev / 3.0 - cr);
-    const double up0 = t0 + 2.0 * rs_dev / 3.0 - cr;
-    add("GPU", "UPDATE(look-ahead)", up0, up0 + up_la);
-    add("GPU", "UPDATE(rest)", up0 + up_la, up0 + up_la + up_rest);
-    add("XFER", "panel D2H", up0 + up_la, up0 + up_la + xfer1);
-    const double f0 = up0 + up_la + xfer1;
-    add("CPU", "FACT", f0, f0 + fact_cpu);
-    add("MPI", "FACT pivots", f0 + fact_cpu, f0 + fact_cpu + fact_mpi);
-    add("XFER", "panel H2D", f0 + fact_cpu + fact_mpi,
-        f0 + fact_cpu + fact_mpi + xfer2);
-    add("MPI", "LBCAST", f0 + fact_cpu + fact_mpi + xfer2,
-        f0 + fact_cpu + fact_mpi + xfer2 + lbcast);
-  } else {
-    // Sequential: every phase on the critical path.
-    double t = 0.0;
-    auto step = [&](const char* lane, const char* label, double dur) {
-      add(lane, label, t, t + dur);
-      t += dur;
-    };
-    step("XFER", "panel D2H", xfer1);
-    step("CPU", "FACT", fact_cpu);
-    step("MPI", "FACT pivots", fact_mpi);
-    step("XFER", "panel H2D", xfer2);
-    step("MPI", "LBCAST", lbcast);
-    step("GPU", "RS gather", m.rs_device_seconds(nloc));
-    step("MPI", "RS comm", m.rs_comm_seconds(nloc));
-    step("GPU", "RS scatter + U", 2.0 * m.rs_device_seconds(nloc) -
-                                      m.rs_pipeline_credit_seconds(nloc));
-    step("GPU", "UPDATE", m.update_seconds(m_tail, nloc));
-  }
+  build_iteration(IterationModel(node, cfg), cfg, iteration, &ev);
   return ev;
 }
 

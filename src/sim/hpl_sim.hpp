@@ -2,16 +2,22 @@
 /// \file hpl_sim.hpp
 /// \brief Event-based replay of the HPL iteration schedule at paper scale.
 ///
-/// The simulator walks the same per-iteration dependency structure the
-/// real driver executes — Fig. 3 (look-ahead) and Fig. 6 (split update) —
-/// but with phase durations priced by the calibrated NodeModel instead of
-/// executed. It produces the same per-iteration records as the real
-/// driver's trace (total, GPU-active, FACT, MPI, transfer), which is how
-/// Figs. 7 and 8 are regenerated.
+/// The simulator prices the same per-iteration shapes the real driver
+/// executes — Simple, Fig. 3 (look-ahead) and Fig. 6 (split update) — with
+/// phase durations from the calibrated NodeModel instead of executing
+/// them. Each shape is composed once, by a per-iteration builder that lays
+/// the iteration's bars on a timeline: iteration_timeline returns those
+/// bars, and simulate_hpl keeps only each iteration's record, which is the
+/// fold of its bars (mpi_s, fact_s and transfer_s sum the MPI, CPU and
+/// XFER lanes, gpu_s the GPU lane's uncredited busy time, and total_s is
+/// max(span, gpu_s)). The records have the real driver's trace layout
+/// (total, GPU-active, FACT, MPI, transfer), which is how Figs. 7 and 8
+/// are regenerated.
 ///
-/// Geometry uses per-rank averages (mg/P rows, ng/Q columns): at N/NB =
-/// 500 iterations the block-cyclic imbalance is sub-percent and irrelevant
-/// to the figure shapes.
+/// Geometry is the exact block-cyclic share of the rank that owns each
+/// iteration's diagonal panel. The cost model keeps its own Simple shape
+/// (FACT of panel j opens iteration j); no test yet ties the simulator's
+/// phase order to the real driver's trace.
 
 #include <string>
 #include <vector>
@@ -73,6 +79,10 @@ struct TimelineEvent {
   std::string label;
   double start = 0.0;      ///< seconds from iteration start
   double end = 0.0;
+  /// Device seconds of the bar's work that overlap a comm window (the
+  /// pipelined-unpack credit) and so are not drawn: the bar's busy time
+  /// is end - start + hidden.
+  double hidden = 0.0;
 };
 
 /// The modeled schedule of one iteration — the data behind the paper's

@@ -5,11 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cmath>
+#include <sstream>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "comm/world.hpp"
 #include "core/driver.hpp"
+#include "util/error.hpp"
 
 namespace hplx::core {
 namespace {
@@ -81,19 +86,51 @@ INSTANTIATE_TEST_SUITE_P(
         Param{2, 2, 32, 32, PipelineMode::Lookahead}));
 
 TEST(HplSolve, PipelineModesAgreeBitwise) {
-  std::vector<double> scores;
-  std::vector<double> residuals;
-  for (PipelineMode mode : {PipelineMode::Simple, PipelineMode::Lookahead,
-                            PipelineMode::LookaheadSplit}) {
-    HplConfig cfg = base_cfg(128, 16, 2, 2);
-    cfg.pipeline = mode;
-    const HplResult r = run(cfg);
-    residuals.push_back(r.verify.residual);
+  // 2x2 is the classic grid. 1x4 makes every iteration's next panel live
+  // on another process column, so non-owner ranks receive it while their
+  // own bands run; 1x1 with four update streams fans the bands out over
+  // the whole pool.
+  struct Shape {
+    int p, q, streams;
+  };
+  for (const Shape shape : {Shape{2, 2, 1}, Shape{1, 4, 1}, Shape{1, 1, 4}}) {
+    std::vector<double> residuals;
+    for (PipelineMode mode : {PipelineMode::Simple, PipelineMode::Lookahead,
+                              PipelineMode::LookaheadSplit}) {
+      HplConfig cfg = base_cfg(128, 16, shape.p, shape.q);
+      cfg.pipeline = mode;
+      cfg.update_streams = shape.streams;
+      const HplResult r = run(cfg);
+      EXPECT_TRUE(r.verify.passed) << to_string(mode);
+      residuals.push_back(r.verify.residual);
+    }
+    // The scaled residual is a deterministic function of x: identical x
+    // across modes → identical residual.
+    EXPECT_EQ(residuals[0], residuals[1])
+        << shape.p << "x" << shape.q << " streams=" << shape.streams;
+    EXPECT_EQ(residuals[0], residuals[2])
+        << shape.p << "x" << shape.q << " streams=" << shape.streams;
   }
-  // The scaled residual is a deterministic function of x: identical x
-  // across modes → identical residual.
-  EXPECT_EQ(residuals[0], residuals[1]);
-  EXPECT_EQ(residuals[0], residuals[2]);
+}
+
+TEST(HplSolve, BadSplitFractionIsRejectedOnEveryRank) {
+  for (const double bad : {std::nan(""), 1.5}) {
+    HplConfig cfg = base_cfg(64, 16, 2, 2);
+    cfg.pipeline = PipelineMode::LookaheadSplit;
+    cfg.split_fraction = bad;
+    std::ostringstream want;
+    want << bad;
+    std::atomic<int> rejected{0};
+    comm::World::run(cfg.p * cfg.q, [&](comm::Communicator& world) {
+      try {
+        run_hpl(world, cfg);
+      } catch (const Error& e) {
+        if (std::string(e.what()).find(want.str()) != std::string::npos)
+          ++rejected;
+      }
+    });
+    EXPECT_EQ(rejected.load(), cfg.p * cfg.q) << "split_fraction " << bad;
+  }
 }
 
 TEST(HplSolve, SplitFractionSweepStaysCorrect) {

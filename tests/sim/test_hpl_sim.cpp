@@ -6,8 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <sstream>
+#include <string>
+
 #include "sim/hpl_sim.hpp"
 #include "sim/scaling.hpp"
+#include "util/error.hpp"
 
 namespace hplx::sim {
 namespace {
@@ -183,26 +189,83 @@ TEST(HplSim, PrecisionModesOrderModeledSpeedup) {
   }
 }
 
-TEST(HplSim, TimelineEndMatchesSimulatedIterationWithChunking) {
-  // iteration_timeline duplicates simulate_hpl's composition; the credit
-  // must not let the two drift apart.
+TEST(HplSim, RecordIsTheFoldOfItsTimeline) {
+  // simulate_hpl and iteration_timeline share one per-iteration builder,
+  // so every record field is a fold of that iteration's bars: mpi_s,
+  // fact_s and transfer_s sum the MPI, CPU and XFER lanes, gpu_s is the
+  // GPU lane's uncredited busy time, and total_s = max(span, gpu_s).
+  // At 256 KiB chunks the per-chunk latency eats the whole credit on this
+  // node; 4 MiB chunks earn it, so the GPU lane's hidden time is folded
+  // too.
   const NodeModel node = NodeModel::crusher();
+  auto expect_rel = [](double want, double got, const std::string& what) {
+    EXPECT_NEAR(got, want,
+                1e-12 * std::max(std::abs(want), std::abs(got)))
+        << what;
+  };
   for (const auto mode :
        {core::PipelineMode::Simple, core::PipelineMode::Lookahead,
         core::PipelineMode::LookaheadSplit}) {
-    ClusterConfig cfg = crusher_config(node, 1);
-    cfg.pipeline = mode;
-    cfg.swap_chunk_bytes = 256 * 1024;
-    const SimResult r = simulate_hpl(node, cfg);
-    for (const int iter : {10, 250, 400}) {
-      const auto ev = iteration_timeline(node, cfg, iter);
-      double end = 0.0;
-      for (const auto& e : ev) end = std::max(end, e.end);
-      const auto& rec =
-          r.trace.iterations[static_cast<std::size_t>(iter)];
-      EXPECT_NEAR(end, rec.total_s, rec.total_s * 0.02)
-          << "mode=" << static_cast<int>(mode) << " iter=" << iter;
+    for (const long chunk : {0L, 256L * 1024L, 4L << 20}) {
+      ClusterConfig cfg = crusher_config(node, 1);
+      cfg.pipeline = mode;
+      cfg.swap_chunk_bytes = chunk;
+      const SimResult r = simulate_hpl(node, cfg);
+      double hidden = 0.0;
+      for (const int iter : {10, 250, 400, 499}) {
+        const std::string what = "mode=" + std::string(to_string(mode)) +
+                                 " chunk=" + std::to_string(chunk) +
+                                 " iter=" + std::to_string(iter);
+        double span = 0.0, gpu = 0.0, cpu = 0.0, mpi = 0.0, xfer = 0.0;
+        for (const auto& e : iteration_timeline(node, cfg, iter)) {
+          const std::string lane = e.lane;
+          const double len = e.end - e.start;
+          span = std::max(span, e.end);
+          hidden += e.hidden;
+          if (lane == "GPU") gpu += len + e.hidden;
+          if (lane == "CPU") cpu += len;
+          if (lane == "MPI") mpi += len;
+          if (lane == "XFER") xfer += len;
+        }
+        const auto& rec = r.trace.iterations[static_cast<std::size_t>(iter)];
+        EXPECT_EQ(rec.iteration, iter) << what;
+        expect_rel(mpi, rec.mpi_s, what + " mpi_s");
+        expect_rel(cpu, rec.fact_s, what + " fact_s");
+        expect_rel(xfer, rec.transfer_s, what + " transfer_s");
+        expect_rel(gpu, rec.gpu_s, what + " gpu_s");
+        expect_rel(std::max(span, gpu), rec.total_s, what + " total_s");
+      }
+      // The pipelined-unpack credit only exists with chunking.
+      if (chunk == 0) {
+        EXPECT_EQ(hidden, 0.0) << to_string(mode);
+      }
+      if (chunk == 4L << 20) {
+        EXPECT_GT(hidden, 0.0) << to_string(mode);
+      }
     }
+  }
+}
+
+TEST(HplSim, BadSplitFractionIsRejected) {
+  const NodeModel node = NodeModel::crusher();
+  for (const double bad : {std::nan(""), 1.5}) {
+    ClusterConfig cfg = crusher_config(node, 1);
+    cfg.split_fraction = bad;
+    try {
+      simulate_hpl(node, cfg);
+      ADD_FAILURE() << "split_fraction " << bad << " was accepted";
+    } catch (const Error& e) {
+      std::ostringstream want;
+      want << bad;
+      EXPECT_NE(std::string(e.what()).find(want.str()), std::string::npos)
+          << e.what();
+    }
+  }
+  // Both ends of [0, 1] stay valid.
+  for (const double ok : {0.0, 1.0}) {
+    ClusterConfig cfg = crusher_config(node, 1);
+    cfg.split_fraction = ok;
+    EXPECT_GT(simulate_hpl(node, cfg).gflops, 0.0) << ok;
   }
 }
 
