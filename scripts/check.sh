@@ -5,7 +5,8 @@
 # stress, solver integration and mixed-precision suites) under
 # ThreadSanitizer, then the allocation-heavy suites (ctest label "asan":
 # grid/rng/trace + the hazard-checker, chunked-transport, solver
-# integration, simulator and mixed-precision suites) under
+# integration, simulator, mixed-precision and core suites — the last holds
+# the HPL.dat parser, which reads outside input) under
 # AddressSanitizer+LeakSanitizer+UBSan. The mixed-precision suite also
 # carries the "mxp" label, surfaced as its own tier-1 step so a red MxP
 # gate is visible at a glance (ctest -L mxp re-runs only those tests); the
@@ -82,7 +83,7 @@ else
   cmake --build "$build_asan" -j "$jobs" \
     --target test_grid test_rng test_trace test_hazard test_comm_chunked \
              test_hpl test_sim test_alloc test_mxp test_variants \
-             test_commcheck
+             test_commcheck test_core
   # LSan rides along with ASan by default on Linux; halt_on_error keeps UB
   # findings fatal so the leg cannot silently pass over them.
   UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}" \

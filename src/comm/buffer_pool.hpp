@@ -69,7 +69,7 @@ class BufferPool {
   static constexpr int kMinClassLog = device::PoolAllocator::kMinClassLog;
   static constexpr int kMaxClassLog = 24;
 
-  BufferPool() : alloc_("comm", /*passthrough=*/false, kMaxClassLog) {}
+  BufferPool() : alloc_("comm", kMaxClassLog) {}
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 

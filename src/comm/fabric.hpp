@@ -40,7 +40,7 @@ inline constexpr int kAnySource = -1;
 
 /// Default eager/direct cutover: below this, messages always travel
 /// through the pool; at or above it, a posted receiver gets the payload
-/// in one copy. Tunable per fabric (HplConfig::comm_eager_bytes).
+/// in one copy. Tunable per fabric (Fabric::set_direct_threshold).
 inline constexpr std::size_t kDefaultEagerThreshold = 32 * 1024;
 
 struct MessageEnvelope {

@@ -93,9 +93,9 @@ struct HplConfig {
   /// Chunk size (bytes) for the pipelined U-assembly broadcast: the
   /// allgatherv is split into chunks of at most this many bytes and the
   /// per-chunk device unpack is enqueued as each chunk lands, overlapping
-  /// deserialization with the remaining wire traffic. 0 = pick via the
-  /// startup autotune probe; must not be negative. Chunks are rounded to
-  /// whole wire columns, so any value is bitwise-identical.
+  /// deserialization with the remaining wire traffic. Must be >= 1.
+  /// Chunks are rounded to whole wire columns, so any value is
+  /// bitwise-identical.
   long swap_chunk_bytes = 256 * 1024;
 
   /// Optional user-supplied panel broadcast, overriding `bcast`. The
@@ -131,10 +131,10 @@ struct HplConfig {
   FactVariant fact = FactVariant::RecursiveRight;
   /// Base variant used at the recursion leaves (HPL's PFACT).
   FactVariant rfact_base = FactVariant::Right;
-  int rfact_nbmin = 16;  ///< recursion cutoff (paper: base block of 16)
-  int rfact_ndiv = 2;    ///< recursion subdivisions (paper: 2)
+  int rfact_nbmin = 16;  ///< recursion cutoff, >= 1 (paper: base block of 16)
+  int rfact_ndiv = 2;    ///< recursion subdivisions, >= 2 (paper: 2)
   /// CPU threads per FACT call (the T of §III.A/§III.B), including the
-  /// main thread.
+  /// main thread. Must be >= 1.
   int fact_threads = 1;
 
   /// Worker threads for the packed BLAS-3 engine (blas::set_num_threads).
@@ -142,25 +142,13 @@ struct HplConfig {
   /// that configured blas threading themselves are not overridden.
   int blas_threads = 0;
 
-  /// Eager/direct cutover for the minimpi transport: messages of at least
-  /// this many bytes are copied straight into a posted receive instead of
-  /// staging through a pooled eager buffer.
-  std::size_t comm_eager_bytes = comm::kDefaultEagerThreshold;
-
-  /// Column-tile width for the device row-swap/copy kernel engine
-  /// (device::EngineConfig::tile_cols): the cache-blocking grain and the
-  /// unit of team parallelism inside one kernel. 0 = run the one-shot
-  /// startup probe (device::autotune_swap_tile_cols) and use its winner;
-  /// a nonzero value pins the width.
-  long swap_tile_cols = 256;
-
   /// Streams in the trailing-update pool: rocHPL's U1/U2 stream split
   /// generalized to N in-order streams. 1 reproduces the seed
   /// single-stream schedule; with more streams the trailing update is cut
   /// into column bands fanned out across the pool with event fencing, so
   /// the look-ahead band completes (and releases FACT) while the remaining
   /// bands still compute. Bands never alias columns — results are bitwise
-  /// identical for every value. Clamped to [1, trace::kMaxUpdateStreams].
+  /// identical for every value. Must be in [1, trace::kMaxUpdateStreams].
   int update_streams = 1;
 
   /// Column width of one trailing-update band. 0 = split each update
@@ -168,10 +156,6 @@ struct HplConfig {
   /// the window at that many columns (more bands than streams round-robin,
   /// which evens out ragged windows). Any value is bitwise-identical.
   long update_band_cols = 0;
-
-  /// Team members one device data-motion kernel may use: 0 = the whole
-  /// leased BLAS team (blas_threads), 1 = always sequential, n > 1 = cap.
-  int kernel_threads = 0;
 
   /// Per-rank simulated accelerator: capacity and cost model.
   std::size_t hbm_bytes = 1ull << 32;  // tests use small N; 4 GiB default
@@ -185,25 +169,15 @@ struct HplConfig {
   /// Iterative-refinement iteration cap for the MxP modes. If the scaled
   /// residual has not passed after this many corrections (or diverges),
   /// the solver falls back to a full fp64 solve so a passing run is still
-  /// produced (HplResult::ir_fallback reports it).
+  /// produced (HplResult::ir_fallback reports it). Must be >= 0.
   int ir_max_iters = 30;
 
   /// IR convergence target: the run is accepted when the HPL scaled
-  /// residual drops below this (16.0 is HPL's own pass threshold).
+  /// residual drops below this (16.0 is HPL's own pass threshold). Must
+  /// be finite and > 0.
   double ir_tol = 16.0;
 
   bool verify = true;  ///< run the residual check after the solve
-
-  /// Pooled allocation (device::PoolAllocator) for device buffers, the
-  /// host arena, and the fabric message pools. On (default), steady-state
-  /// solve iterations perform zero system allocations; off is the
-  /// ablation mode — every acquire goes straight upstream (stats are
-  /// still tracked so the two modes are directly comparable).
-  bool alloc_pool = true;
-
-  /// Cap on bytes parked on the device/arena freelists; releases beyond
-  /// it free upstream. Negative (default) = unbounded.
-  long alloc_cache_bytes = -1;
 
   /// Attach the hazard-checking runtime (device::HazardTracker) to every
   /// rank's device: enqueued ops declare access sets, happens-before is
@@ -220,12 +194,6 @@ struct HplConfig {
   /// HPLX_COMM_CHECK environment variable; off by default (single pointer
   /// test per call site when off).
   bool comm_check = false;
-
-  /// Test-only: keep the RowSwapper's scatter-fence *wait* but hide the
-  /// happens-before edge from the hazard tracker (reintroduces the PR 4
-  /// bug class on purpose). Per-instance — every RowSwapper of the solve
-  /// inherits this flag; never set it outside hazard tests.
-  bool test_skip_scatter_fence = false;
 };
 
 }  // namespace hplx::core

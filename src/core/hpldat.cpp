@@ -1,14 +1,21 @@
 #include "core/hpldat.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <istream>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 
+#include "trace/records.hpp"
 #include "util/error.hpp"
 
 namespace hplx::core {
 
 namespace {
+
+/// Longest list a "# of X" count line may announce.
+constexpr long kMaxListLength = 64;
 
 /// Line-oriented tokenizer over the HPL.dat format: each data line starts
 /// with its value(s); everything after them is free-text comment.
@@ -34,47 +41,58 @@ class DatReader {
     return t;
   }
 
-  long integer(const char* what) {
-    const std::string t = token();
-    try {
-      return std::stol(t);
-    } catch (...) {
-      HPLX_CHECK_MSG(false, "HPL.dat line " << lineno_ << " (" << what
-                     << "): not an integer: `" << t << "`");
-    }
-    return 0;
+  /// One integer line. The whole token must be an integer in [lo, hi],
+  /// checked as a `long` before narrowing; the bounds default to Int's.
+  template <typename Int = long>
+  Int integer(const char* what, long lo = std::numeric_limits<Int>::min(),
+              long hi = std::numeric_limits<Int>::max()) {
+    return to_integer<Int>(token(), what, lo, hi);
   }
 
+  /// One real-number line; the whole token must be a number.
   double real(const char* what) {
     const std::string t = token();
+    std::size_t used = 0;
+    double v = 0.0;
     try {
-      return std::stod(t);
-    } catch (...) {
-      HPLX_CHECK_MSG(false, "HPL.dat line " << lineno_ << " (" << what
-                     << "): not a number: `" << t << "`");
+      v = std::stod(t, &used);
+    } catch (const std::logic_error&) {
+      used = 0;
     }
-    return 0;
+    HPLX_CHECK_MSG(used > 0 && used == t.size(),
+                   where(what) << ": not a number: `" << t << "`");
+    return v;
   }
 
-  /// Consume one line holding `count` integers.
-  std::vector<long> integers(std::size_t count, const char* what) {
+  /// One line holding `count` integers, each checked like integer().
+  template <typename Int>
+  std::vector<Int> integers(long count, const char* what, long lo,
+                            long hi = std::numeric_limits<Int>::max()) {
     std::istringstream ls(line());
-    std::vector<long> out;
-    long v;
-    while (out.size() < count && ls >> v) out.push_back(v);
-    HPLX_CHECK_MSG(out.size() == count,
-                   "HPL.dat line " << lineno_ << " (" << what << "): expected "
-                   << count << " values, found " << out.size());
+    std::vector<Int> out;
+    std::string t;
+    while (static_cast<long>(out.size()) < count && ls >> t)
+      out.push_back(to_integer<Int>(t, what, lo, hi));
+    HPLX_CHECK_MSG(static_cast<long>(out.size()) == count,
+                   where(what) << ": expected " << count << " values, found "
+                   << out.size());
     return out;
   }
 
   /// Read "# of X" then the list line.
-  std::vector<long> counted_list(const char* what, long max_count = 64) {
-    const long n = integer(what);
-    HPLX_CHECK_MSG(n >= 1 && n <= max_count,
-                   "HPL.dat line " << lineno_ << ": count for " << what
-                   << " out of range: " << n);
-    return integers(static_cast<std::size_t>(n), what);
+  template <typename Int>
+  std::vector<Int> counted_list(const char* what, long lo,
+                                long hi = std::numeric_limits<Int>::max()) {
+    const long n = integer(what, 1, kMaxListLength);
+    return integers<Int>(n, what, lo, hi);
+  }
+
+  /// A retired extension line keeps its place in the format, but the
+  /// solver hard-codes its value, so only that value parses.
+  void retired(const char* what, long value) {
+    const long v = integer(what);
+    HPLX_CHECK_MSG(v == value, where(what) << ": this line was retired; the "
+                   "solver always uses " << value << ", got " << v);
   }
 
   bool eof() {
@@ -87,231 +105,218 @@ class DatReader {
     return true;
   }
 
-  int lineno() const { return lineno_; }
-
  private:
+  std::string where(const char* what) const {
+    std::ostringstream os;
+    os << "HPL.dat line " << lineno_ << " (" << what << ")";
+    return os.str();
+  }
+
+  template <typename Int>
+  Int to_integer(const std::string& t, const char* what, long lo,
+                 long hi) const {
+    std::size_t used = 0;
+    long v = 0;
+    try {
+      v = std::stol(t, &used);
+    } catch (const std::logic_error&) {
+      used = 0;
+    }
+    HPLX_CHECK_MSG(used > 0 && used == t.size(),
+                   where(what) << ": not an integer: `" << t << "`");
+    HPLX_CHECK_MSG(v >= lo && v <= hi, where(what) << ": " << v
+                   << " is outside [" << lo << ", " << hi << "]");
+    return static_cast<Int>(v);
+  }
+
   std::istream& in_;
   int lineno_ = 0;
 };
 
-FactVariant fact_from_code(long code, const char* what) {
-  switch (code) {
-    case 0: return FactVariant::Left;
-    case 1: return FactVariant::Crout;
-    case 2: return FactVariant::Right;
-    case 3: return FactVariant::RecursiveRight;  // hplx extension code
-    default:
-      HPLX_CHECK_MSG(false, "HPL.dat " << what << " code out of range: "
-                     << code);
-  }
-  return FactVariant::Right;
+/// PFACT/RFACT codes. Classic HPL has no code for the recursive variant
+/// (it *is* the RFACT); hplx exposes it as 3 so write→read is lossless.
+constexpr FactVariant kFactCodes[] = {FactVariant::Left, FactVariant::Crout,
+                                      FactVariant::Right,
+                                      FactVariant::RecursiveRight};
+constexpr comm::BcastAlgo kBcastCodes[] = {
+    comm::BcastAlgo::Ring1, comm::BcastAlgo::Ring1Mod,
+    comm::BcastAlgo::Ring2, comm::BcastAlgo::Ring2Mod,
+    comm::BcastAlgo::Long,  comm::BcastAlgo::LongMod};
+constexpr RowSwapAlgo kSwapCodes[] = {RowSwapAlgo::BinaryExchange,
+                                      RowSwapAlgo::SpreadRoll,
+                                      RowSwapAlgo::Mix};
+constexpr PrecisionMode kPrecisions[] = {
+    PrecisionMode::FP64, PrecisionMode::MXP32, PrecisionMode::MXP16Sim};
+
+/// The HPL.dat code of `v`, or `fallback` when it has none.
+template <typename V, std::size_t N>
+long code_of(const V (&codes)[N], V v, long fallback) {
+  for (std::size_t i = 0; i < N; ++i)
+    if (codes[i] == v) return static_cast<long>(i);
+  return fallback;
 }
 
-comm::BcastAlgo bcast_from_code(long code) {
-  switch (code) {
-    case 0: return comm::BcastAlgo::Ring1;
-    case 1: return comm::BcastAlgo::Ring1Mod;
-    case 2: return comm::BcastAlgo::Ring2;
-    case 3: return comm::BcastAlgo::Ring2Mod;
-    case 4: return comm::BcastAlgo::Long;
-    case 5: return comm::BcastAlgo::LongMod;
-    default:
-      HPLX_CHECK_MSG(false, "HPL.dat BCAST code out of range: " << code);
-  }
-  return comm::BcastAlgo::Ring1Mod;
-}
+/// One optional line after the classic ones: how its value is read into
+/// and written from the config. A retired line has neither; it must hold
+/// `retired`, the value the solver hard-codes.
+struct ExtensionLine {
+  const char* what;  ///< name in diagnostics and in the written comment
+  const char* note;  ///< rest of the written comment
+  void (*read)(DatReader&, const char* what, HplConfig&);
+  void (*write)(std::ostream&, const HplConfig&);
+  long retired;
+};
 
-long bcast_to_code(comm::BcastAlgo algo) {
-  switch (algo) {
-    case comm::BcastAlgo::Ring1: return 0;
-    case comm::BcastAlgo::Ring1Mod: return 1;
-    case comm::BcastAlgo::Ring2: return 2;
-    case comm::BcastAlgo::Ring2Mod: return 3;
-    case comm::BcastAlgo::Long: return 4;
-    case comm::BcastAlgo::LongMod: return 5;
-    case comm::BcastAlgo::Binomial: return 1;  // nearest classic code
-  }
-  return 1;
-}
-
-long fact_to_code(FactVariant v) {
-  switch (v) {
-    case FactVariant::Left: return 0;
-    case FactVariant::Crout: return 1;
-    case FactVariant::Right: return 2;
-    // hplx extension: classic HPL has no explicit code for the recursive
-    // variant (it *is* the RFACT), but hplx exposes it as a first-class
-    // FactVariant — 3 keeps write→read lossless instead of collapsing
-    // onto Right.
-    case FactVariant::RecursiveRight: return 3;
-  }
-  return 2;
-}
+// The positional order of the extension lines. Append new lines at the
+// end; retire a line in place so older files still parse.
+const ExtensionLine kExtensionLines[] = {
+    {"split fraction", "rocHPL extension",
+     [](DatReader& r, const char* w, HplConfig& c) {
+       c.split_fraction = r.real(w);
+       HPLX_CHECK_MSG(c.split_fraction >= 0.0 && c.split_fraction < 1.0,
+                      "HPL.dat: split fraction must be in [0, 1), got "
+                          << c.split_fraction);
+     },
+     [](std::ostream& os, const HplConfig& c) { os << c.split_fraction; }, 0},
+    {"FACT threads", "rocHPL extension",
+     [](DatReader& r, const char* w, HplConfig& c) {
+       c.fact_threads = r.integer<int>(w, 1);
+     },
+     [](std::ostream& os, const HplConfig& c) { os << c.fact_threads; }, 0},
+    {"BLAS threads", "hplx extension, 0=inherit",
+     [](DatReader& r, const char* w, HplConfig& c) {
+       c.blas_threads = r.integer<int>(w, 0);
+     },
+     [](std::ostream& os, const HplConfig& c) { os << c.blas_threads; }, 0},
+    {"eager threshold bytes", nullptr, nullptr, nullptr, 32768},
+    {"swap tile cols", nullptr, nullptr, nullptr, 256},
+    {"kernel threads", nullptr, nullptr, nullptr, 0},
+    {"update streams", "hplx extension, 1-8",
+     [](DatReader& r, const char* w, HplConfig& c) {
+       c.update_streams = r.integer<int>(w, 1, trace::kMaxUpdateStreams);
+     },
+     [](std::ostream& os, const HplConfig& c) { os << c.update_streams; }, 0},
+    {"update band cols", "hplx extension, 0=even split",
+     [](DatReader& r, const char* w, HplConfig& c) {
+       c.update_band_cols = r.integer(w, 0);
+     },
+     [](std::ostream& os, const HplConfig& c) { os << c.update_band_cols; },
+     0},
+    {"hazard check", "hplx extension, 0=off,1=on",
+     [](DatReader& r, const char* w, HplConfig& c) {
+       c.hazard_check = r.integer(w, 0, 1) == 1;
+     },
+     [](std::ostream& os, const HplConfig& c) { os << c.hazard_check; }, 0},
+    {"swap wire format", nullptr, nullptr, nullptr, 1},
+    {"swap chunk bytes", "hplx extension, >=1",
+     [](DatReader& r, const char* w, HplConfig& c) {
+       c.swap_chunk_bytes = r.integer(w, 1);
+     },
+     [](std::ostream& os, const HplConfig& c) { os << c.swap_chunk_bytes; },
+     0},
+    {"precision", "hplx extension, fp64|mxp32|mxp16-sim",
+     [](DatReader& r, const char*, HplConfig& c) {
+       const std::string t = r.token();
+       for (PrecisionMode p : kPrecisions) {
+         if (t == to_string(p)) {
+           c.precision = p;
+           return;
+         }
+       }
+       HPLX_CHECK_MSG(false, "HPL.dat: precision must be fp64, mxp32 or "
+                             "mxp16-sim, got `" << t << "`");
+     },
+     [](std::ostream& os, const HplConfig& c) {
+       os << to_string(c.precision);
+     },
+     0},
+    {"IR max iters", "hplx extension, mxp modes",
+     [](DatReader& r, const char* w, HplConfig& c) {
+       c.ir_max_iters = r.integer<int>(w, 0);
+     },
+     [](std::ostream& os, const HplConfig& c) { os << c.ir_max_iters; }, 0},
+    {"IR tolerance", "hplx extension, scaled residual",
+     [](DatReader& r, const char* w, HplConfig& c) {
+       c.ir_tol = r.real(w);
+       HPLX_CHECK_MSG(std::isfinite(c.ir_tol) && c.ir_tol > 0.0,
+                      "HPL.dat: IR tolerance must be finite and > 0, got "
+                          << c.ir_tol);
+     },
+     [](std::ostream& os, const HplConfig& c) { os << c.ir_tol; }, 0},
+    {"pivoting", "hplx extension, 0=full,1=none",
+     [](DatReader& r, const char* w, HplConfig& c) {
+       c.pivoting =
+           r.integer(w, 0, 1) == 1 ? PivotMode::None : PivotMode::Full;
+     },
+     [](std::ostream& os, const HplConfig& c) {
+       os << (c.pivoting == PivotMode::None ? 1 : 0);
+     },
+     0},
+    {"diag dominant", "hplx extension, 0=no,1=yes",
+     [](DatReader& r, const char* w, HplConfig& c) {
+       c.diag_dominant = r.integer(w, 0, 1) == 1;
+     },
+     [](std::ostream& os, const HplConfig& c) { os << c.diag_dominant; }, 0},
+    {"RHS count", "hplx extension, >=1",
+     [](DatReader& r, const char* w, HplConfig& c) {
+       c.nrhs = r.integer<int>(w, 1);
+     },
+     [](std::ostream& os, const HplConfig& c) { os << c.nrhs; }, 0},
+    {"alloc pool", nullptr, nullptr, nullptr, 1},
+    {"alloc cache bytes", nullptr, nullptr, nullptr, -1},
+    {"comm check", "hplx extension, 0=off,1=on",
+     [](DatReader& r, const char* w, HplConfig& c) {
+       c.comm_check = r.integer(w, 0, 1) == 1;
+     },
+     [](std::ostream& os, const HplConfig& c) { os << c.comm_check; }, 0},
+};
 
 }  // namespace
 
 HplDat parse_hpldat(std::istream& in) {
   DatReader r(in);
   HplDat dat;
+  HplConfig& base = dat.base;
 
   r.line();  // "HPLinpack benchmark input file"
   r.line();  // institution line
   dat.output_file = r.token();
-  dat.device_out = static_cast<int>(r.integer("device out"));
+  dat.device_out = r.integer<int>("device out");
 
-  dat.ns = r.counted_list("problem sizes (N)");
-  for (long n : dat.ns)
-    HPLX_CHECK_MSG(n >= 1, "HPL.dat: N must be positive, got " << n);
+  dat.ns = r.counted_list<long>("problem sizes (N)", 1);
+  dat.nbs = r.counted_list<int>("NBs", 1);
+  base.row_major_grid = r.integer("PMAP") == 0;
 
-  for (long nb : r.counted_list("NBs")) {
-    HPLX_CHECK_MSG(nb >= 1, "HPL.dat: NB must be positive, got " << nb);
-    dat.nbs.push_back(static_cast<int>(nb));
-  }
-
-  dat.row_major_mapping = r.integer("PMAP") == 0;
-
-  const long ngrids = r.integer("# of process grids");
-  HPLX_CHECK_MSG(ngrids >= 1 && ngrids <= 64,
-                 "HPL.dat: grid count out of range: " << ngrids);
-  for (long p : r.integers(static_cast<std::size_t>(ngrids), "Ps"))
-    dat.ps.push_back(static_cast<int>(p));
-  for (long q : r.integers(static_cast<std::size_t>(ngrids), "Qs"))
-    dat.qs.push_back(static_cast<int>(q));
-  for (std::size_t i = 0; i < dat.ps.size(); ++i)
-    HPLX_CHECK_MSG(dat.ps[i] >= 1 && dat.qs[i] >= 1,
-                   "HPL.dat: invalid grid " << dat.ps[i] << "x" << dat.qs[i]);
+  const long ngrids = r.integer("# of process grids", 1, kMaxListLength);
+  dat.ps = r.integers<int>(ngrids, "Ps", 1);
+  dat.qs = r.integers<int>(ngrids, "Qs", 1);
 
   dat.threshold = r.real("threshold");
 
-  for (long code : r.counted_list("PFACTs"))
-    dat.pfacts.push_back(fact_from_code(code, "PFACT"));
-  for (long v : r.counted_list("NBMINs")) {
-    HPLX_CHECK_MSG(v >= 1, "HPL.dat: NBMIN must be >= 1");
-    dat.nbmins.push_back(static_cast<int>(v));
-  }
-  for (long v : r.counted_list("NDIVs")) {
-    HPLX_CHECK_MSG(v >= 2, "HPL.dat: NDIV must be >= 2");
-    dat.ndivs.push_back(static_cast<int>(v));
-  }
-  for (long code : r.counted_list("RFACTs"))
-    dat.rfacts.push_back(fact_from_code(code, "RFACT"));
-  for (long v : r.counted_list("DEPTHs")) {
-    HPLX_CHECK_MSG(v >= 0 && v <= 1,
-                   "HPL.dat: only look-ahead depths 0 and 1 are supported");
-    dat.depths.push_back(static_cast<int>(v));
-  }
-  for (long code : r.counted_list("BCASTs"))
-    dat.bcasts.push_back(bcast_from_code(code));
+  for (int code : r.counted_list<int>("PFACTs", 0, 3))
+    dat.pfacts.push_back(kFactCodes[code]);
+  dat.nbmins = r.counted_list<int>("NBMINs", 1);
+  dat.ndivs = r.counted_list<int>("NDIVs", 2);
+  for (int code : r.counted_list<int>("RFACTs", 0, 3))
+    dat.rfacts.push_back(kFactCodes[code]);
+  dat.depths = r.counted_list<int>("DEPTHs", 0, 1);
+  for (int code : r.counted_list<int>("BCASTs", 0, 5))
+    dat.bcasts.push_back(kBcastCodes[code]);
 
-  dat.swap_algo = static_cast<int>(r.integer("SWAP"));
-  HPLX_CHECK_MSG(dat.swap_algo >= 0 && dat.swap_algo <= 2,
-                 "HPL.dat: SWAP must be 0, 1 or 2");
-  dat.swap_threshold = static_cast<int>(r.integer("swapping threshold"));
+  base.swap = kSwapCodes[r.integer<int>("SWAP", 0, 2)];
+  base.swap_threshold = r.integer("swapping threshold");
   dat.l1_transposed = r.integer("L1 form") == 0;
   dat.u_transposed = r.integer("U form") == 0;
   dat.equilibration = r.integer("Equilibration") != 0;
-  dat.alignment = static_cast<int>(r.integer("alignment"));
+  dat.alignment = r.integer<int>("alignment");
 
-  // Optional rocHPL-style extension lines.
-  if (!r.eof()) {
-    dat.split_fraction = r.real("split fraction");
-    HPLX_CHECK_MSG(dat.split_fraction >= 0.0 && dat.split_fraction < 1.0,
-                   "HPL.dat: split fraction must be in [0, 1)");
-  }
-  if (!r.eof()) {
-    dat.fact_threads = static_cast<int>(r.integer("fact threads"));
-    HPLX_CHECK_MSG(dat.fact_threads >= 1,
-                   "HPL.dat: fact threads must be >= 1");
-  }
-  if (!r.eof()) {
-    dat.blas_threads = static_cast<int>(r.integer("blas threads"));
-    HPLX_CHECK_MSG(dat.blas_threads >= 0,
-                   "HPL.dat: blas threads must be >= 0");
-  }
-  if (!r.eof()) {
-    dat.comm_eager_bytes = r.integer("eager threshold");
-    HPLX_CHECK_MSG(dat.comm_eager_bytes >= 0,
-                   "HPL.dat: eager threshold must be >= 0");
-  }
-  if (!r.eof()) {
-    dat.swap_tile_cols = r.integer("swap tile cols");
-    HPLX_CHECK_MSG(dat.swap_tile_cols >= 0,
-                   "HPL.dat: swap tile cols must be >= 0 (0 = autotune)");
-  }
-  if (!r.eof()) {
-    dat.kernel_threads = static_cast<int>(r.integer("kernel threads"));
-    HPLX_CHECK_MSG(dat.kernel_threads >= 0,
-                   "HPL.dat: kernel threads must be >= 0");
-  }
-  if (!r.eof()) {
-    dat.update_streams = static_cast<int>(r.integer("update streams"));
-    HPLX_CHECK_MSG(dat.update_streams >= 1,
-                   "HPL.dat: update streams must be >= 1");
-  }
-  if (!r.eof()) {
-    dat.update_band_cols = r.integer("update band cols");
-    HPLX_CHECK_MSG(dat.update_band_cols >= 0,
-                   "HPL.dat: update band cols must be >= 0 (0 = even split)");
-  }
-  if (!r.eof()) {
-    dat.hazard_check = static_cast<int>(r.integer("hazard check"));
-    HPLX_CHECK_MSG(dat.hazard_check == 0 || dat.hazard_check == 1,
-                   "HPL.dat: hazard check must be 0 or 1");
-  }
-  if (!r.eof()) {
-    // Positional placeholder: the column-major wire is the only format.
-    const long wire = r.integer("swap wire format");
-    HPLX_CHECK_MSG(wire == 1, "HPL.dat: swap wire format must be 1 "
-                              "(col-major; the row-major wire 0 was "
-                              "removed), got " << wire);
-  }
-  if (!r.eof()) {
-    dat.swap_chunk_bytes = r.integer("swap chunk bytes");
-    HPLX_CHECK_MSG(dat.swap_chunk_bytes >= 0,
-                   "HPL.dat: swap chunk bytes must be >= 0 (0 = autotune)");
-  }
-  if (!r.eof()) {
-    dat.precision = r.token();
-    HPLX_CHECK_MSG(dat.precision == "fp64" || dat.precision == "mxp32" ||
-                       dat.precision == "mxp16-sim",
-                   "HPL.dat: precision must be fp64, mxp32 or mxp16-sim, "
-                   "got `" << dat.precision << "`");
-  }
-  if (!r.eof()) {
-    dat.ir_max_iters = static_cast<int>(r.integer("IR max iters"));
-    HPLX_CHECK_MSG(dat.ir_max_iters >= 0,
-                   "HPL.dat: IR max iters must be >= 0");
-  }
-  if (!r.eof()) {
-    dat.ir_tol = r.real("IR tolerance");
-    HPLX_CHECK_MSG(dat.ir_tol > 0.0, "HPL.dat: IR tolerance must be > 0");
-  }
-  if (!r.eof()) {
-    dat.pivoting = static_cast<int>(r.integer("pivoting"));
-    HPLX_CHECK_MSG(dat.pivoting == 0 || dat.pivoting == 1,
-                   "HPL.dat: pivoting must be 0 (full) or 1 (none)");
-  }
-  if (!r.eof()) {
-    dat.diag_dominant = static_cast<int>(r.integer("diag dominant"));
-    HPLX_CHECK_MSG(dat.diag_dominant == 0 || dat.diag_dominant == 1,
-                   "HPL.dat: diag dominant must be 0 or 1");
-  }
-  if (!r.eof()) {
-    dat.nrhs = static_cast<int>(r.integer("RHS count"));
-    HPLX_CHECK_MSG(dat.nrhs >= 1, "HPL.dat: RHS count must be >= 1");
-  }
-  if (!r.eof()) {
-    dat.alloc_pool = static_cast<int>(r.integer("alloc pool"));
-    HPLX_CHECK_MSG(dat.alloc_pool == 0 || dat.alloc_pool == 1,
-                   "HPL.dat: alloc pool must be 0 or 1");
-  }
-  if (!r.eof()) {
-    dat.alloc_cache_bytes = r.integer("alloc cache bytes");
-  }
-  if (!r.eof()) {
-    dat.comm_check = static_cast<int>(r.integer("comm check"));
-    HPLX_CHECK_MSG(dat.comm_check == 0 || dat.comm_check == 1,
-                   "HPL.dat: comm check must be 0 or 1");
+  for (const ExtensionLine& line : kExtensionLines) {
+    if (r.eof()) break;
+    if (line.read != nullptr) {
+      line.read(r, line.what, base);
+    } else {
+      r.retired(line.what, line.retired);
+    }
   }
   return dat;
 }
@@ -339,7 +344,7 @@ std::vector<HplConfig> expand_configs(const HplDat& dat) {
                   // RFACT runs that unblocked variant over the whole
                   // panel, so every HPL.dat variant line selects a
                   // distinct code path.
-                  HplConfig cfg;
+                  HplConfig cfg = dat.base;
                   cfg.n = n;
                   cfg.nb = nb;
                   cfg.p = dat.ps[g];
@@ -351,36 +356,6 @@ std::vector<HplConfig> expand_configs(const HplDat& dat) {
                   cfg.pipeline = depth == 0 ? PipelineMode::Simple
                                             : PipelineMode::LookaheadSplit;
                   cfg.bcast = bcast;
-                  cfg.row_major_grid = dat.row_major_mapping;
-                  cfg.swap = dat.swap_algo == 0 ? RowSwapAlgo::BinaryExchange
-                             : dat.swap_algo == 1 ? RowSwapAlgo::SpreadRoll
-                                                  : RowSwapAlgo::Mix;
-                  cfg.swap_threshold = dat.swap_threshold;
-                  cfg.split_fraction = dat.split_fraction;
-                  cfg.fact_threads = dat.fact_threads;
-                  cfg.blas_threads = dat.blas_threads;
-                  cfg.comm_eager_bytes =
-                      static_cast<std::size_t>(dat.comm_eager_bytes);
-                  cfg.swap_tile_cols = dat.swap_tile_cols;
-                  cfg.kernel_threads = dat.kernel_threads;
-                  cfg.update_streams = dat.update_streams;
-                  cfg.update_band_cols = dat.update_band_cols;
-                  cfg.hazard_check = dat.hazard_check != 0;
-                  cfg.swap_chunk_bytes = dat.swap_chunk_bytes;
-                  cfg.precision = dat.precision == "mxp32"
-                                      ? PrecisionMode::MXP32
-                                  : dat.precision == "mxp16-sim"
-                                      ? PrecisionMode::MXP16Sim
-                                      : PrecisionMode::FP64;
-                  cfg.ir_max_iters = dat.ir_max_iters;
-                  cfg.ir_tol = dat.ir_tol;
-                  cfg.pivoting = dat.pivoting == 1 ? PivotMode::None
-                                                   : PivotMode::Full;
-                  cfg.diag_dominant = dat.diag_dominant != 0;
-                  cfg.nrhs = dat.nrhs;
-                  cfg.alloc_pool = dat.alloc_pool != 0;
-                  cfg.alloc_cache_bytes = dat.alloc_cache_bytes;
-                  cfg.comm_check = dat.comm_check != 0;
                   out.push_back(cfg);
                 }
               }
@@ -395,10 +370,15 @@ std::vector<HplConfig> expand_configs(const HplDat& dat) {
 }
 
 std::string format_hpldat(const HplDat& dat) {
+  const HplConfig& base = dat.base;
   std::ostringstream os;
   auto list = [&os](const auto& values) {
     for (std::size_t i = 0; i < values.size(); ++i)
       os << (i ? " " : "") << values[i];
+  };
+  auto codes = [&os](const auto& values, const auto& table, long fallback) {
+    for (std::size_t i = 0; i < values.size(); ++i)
+      os << (i ? " " : "") << code_of(table, values[i], fallback);
   };
 
   os << "HPLinpack benchmark input file\n";
@@ -411,7 +391,7 @@ std::string format_hpldat(const HplDat& dat) {
   os << dat.nbs.size() << "  # of NBs\n";
   list(dat.nbs);
   os << "  NBs\n";
-  os << (dat.row_major_mapping ? 0 : 1)
+  os << (base.row_major_grid ? 0 : 1)
      << "  PMAP process mapping (0=Row-,1=Column-major)\n";
   os << dat.ps.size() << "  # of process grids (P x Q)\n";
   list(dat.ps);
@@ -419,13 +399,8 @@ std::string format_hpldat(const HplDat& dat) {
   list(dat.qs);
   os << "  Qs\n";
   os << dat.threshold << "  threshold\n";
-
-  auto codes = [&os](const std::vector<FactVariant>& vs) {
-    for (std::size_t i = 0; i < vs.size(); ++i)
-      os << (i ? " " : "") << fact_to_code(vs[i]);
-  };
   os << dat.pfacts.size() << "  # of panel fact\n";
-  codes(dat.pfacts);
+  codes(dat.pfacts, kFactCodes, 2);
   os << "  PFACTs (0=left, 1=Crout, 2=Right, 3=recursive)\n";
   os << dat.nbmins.size() << "  # of recursive stopping criterium\n";
   list(dat.nbmins);
@@ -434,52 +409,31 @@ std::string format_hpldat(const HplDat& dat) {
   list(dat.ndivs);
   os << "  NDIVs\n";
   os << dat.rfacts.size() << "  # of recursive panel fact.\n";
-  codes(dat.rfacts);
+  codes(dat.rfacts, kFactCodes, 2);
   os << "  RFACTs (0=left, 1=Crout, 2=Right, 3=recursive)\n";
   os << dat.depths.size() << "  # of lookahead depth\n";
   list(dat.depths);
   os << "  DEPTHs (>=0)\n";
   os << dat.bcasts.size() << "  # of broadcast\n";
-  for (std::size_t i = 0; i < dat.bcasts.size(); ++i)
-    os << (i ? " " : "") << bcast_to_code(dat.bcasts[i]);
+  // Binomial has no classic code; 1 (1rM) is the nearest.
+  codes(dat.bcasts, kBcastCodes, 1);
   os << "  BCASTs (0=1rg,1=1rM,2=2rg,3=2rM,4=Lng,5=LnM)\n";
-  os << dat.swap_algo << "  SWAP (0=bin-exch,1=long,2=mix)\n";
-  os << dat.swap_threshold << "  swapping threshold\n";
+  os << code_of(kSwapCodes, base.swap, 1)
+     << "  SWAP (0=bin-exch,1=long,2=mix)\n";
+  os << base.swap_threshold << "  swapping threshold\n";
   os << (dat.l1_transposed ? 0 : 1) << "  L1 in (0=transposed,1=no) form\n";
   os << (dat.u_transposed ? 0 : 1) << "  U  in (0=transposed,1=no) form\n";
   os << (dat.equilibration ? 1 : 0) << "  Equilibration (0=no,1=yes)\n";
   os << dat.alignment << "  memory alignment in double (> 0)\n";
-  os << dat.split_fraction << "  split fraction (rocHPL extension)\n";
-  os << dat.fact_threads << "  FACT threads (rocHPL extension)\n";
-  os << dat.blas_threads << "  BLAS threads (hplx extension, 0=inherit)\n";
-  os << dat.comm_eager_bytes << "  eager threshold bytes (hplx extension)\n";
-  os << dat.swap_tile_cols
-     << "  swap tile cols (hplx extension, 0=autotune)\n";
-  os << dat.kernel_threads
-     << "  kernel threads (hplx extension, 0=whole team)\n";
-  os << dat.update_streams
-     << "  update streams (hplx extension, >=1)\n";
-  os << dat.update_band_cols
-     << "  update band cols (hplx extension, 0=even split)\n";
-  os << dat.hazard_check
-     << "  hazard check (hplx extension, 0=off,1=on)\n";
-  os << 1 << "  swap wire format (hplx extension, 1=col-major)\n";
-  os << dat.swap_chunk_bytes
-     << "  swap chunk bytes (hplx extension, 0=autotune)\n";
-  os << dat.precision
-     << "  precision (hplx extension, fp64|mxp32|mxp16-sim)\n";
-  os << dat.ir_max_iters << "  IR max iters (hplx extension, mxp modes)\n";
-  os << dat.ir_tol << "  IR tolerance (hplx extension, scaled residual)\n";
-  os << dat.pivoting << "  pivoting (hplx extension, 0=full,1=none)\n";
-  os << dat.diag_dominant
-     << "  diag dominant (hplx extension, 0=no,1=yes)\n";
-  os << dat.nrhs << "  RHS count (hplx extension, >=1)\n";
-  os << dat.alloc_pool
-     << "  alloc pool (hplx extension, 0=passthrough,1=pooled)\n";
-  os << dat.alloc_cache_bytes
-     << "  alloc cache bytes (hplx extension, <0=unbounded)\n";
-  os << dat.comm_check
-     << "  comm check (hplx extension, 0=off,1=on)\n";
+  for (const ExtensionLine& line : kExtensionLines) {
+    if (line.write != nullptr) {
+      line.write(os, base);
+      os << "  " << line.what << " (" << line.note << ")\n";
+    } else {
+      os << line.retired << "  " << line.what << " (retired, must be "
+         << line.retired << ")\n";
+    }
+  }
   return os.str();
 }
 

@@ -7,12 +7,15 @@
 /// own knobs via the launch wrapper. hplx reads the classic format and
 /// maps each (N, NB, P×Q, ...) combination to an HplConfig, so existing
 /// HPL.dat files drive the solver unchanged. Unsupported legacy knobs
-/// (threshold, depth, swapping threshold, alignment...) are parsed and
+/// (threshold, L1/U form, equilibration, alignment) are parsed and
 /// surfaced but do not alter the run.
 ///
 /// The format is line-oriented: two header lines, then one value (or a
 /// space-separated list preceded by its count) per line, each followed by
-/// a free-text comment. See tests/core/test_hpldat.cpp for a complete
+/// a free-text comment. Optional extension lines follow the classic ones
+/// in a fixed order; a file may stop after any of them. A retired
+/// extension line keeps its position but accepts only the value the
+/// solver now hard-codes. See tests/core/test_hpldat.cpp for a complete
 /// example file.
 
 #include <iosfwd>
@@ -23,17 +26,14 @@
 
 namespace hplx::core {
 
-/// The parsed contents of an HPL.dat file (classic fields).
+/// The parsed contents of an HPL.dat file: the sweep lists, the classic
+/// fields hplx has no HplConfig knob for, and one HplConfig holding every
+/// other setting the file names.
 struct HplDat {
-  std::string output_file = "HPL.out";
-  int device_out = 6;  ///< 6 = stdout, 7 = stderr, else file
-
+  // Sweep lists: expand_configs runs one solve per combination.
   std::vector<long> ns;          ///< problem sizes
   std::vector<int> nbs;          ///< blocking factors
-  bool row_major_mapping = true; ///< PMAP line (0 = row-, 1 = col-major)
   std::vector<int> ps, qs;       ///< process grids (paired by index)
-  double threshold = 16.0;       ///< residual acceptance bound
-
   std::vector<FactVariant> pfacts;   ///< panel fact variants
   std::vector<int> nbmins;           ///< recursion stop
   std::vector<int> ndivs;            ///< recursion panels
@@ -41,53 +41,20 @@ struct HplDat {
   std::vector<int> depths;           ///< look-ahead depth (0 or 1)
   std::vector<comm::BcastAlgo> bcasts;
 
-  // Classic trailing knobs, parsed for fidelity. `swap_algo` selects the
-  // row-swap implementation (0 = binary-exchange, 1 = long/spread-roll,
-  // 2 = mix); the others are accepted but have no effect in hplx.
-  int swap_algo = 1;
-  int swap_threshold = 64;
+  // Classic fields without an HplConfig knob. The output file and device
+  // are the runner's; the rest are parsed for fidelity and have no effect.
+  std::string output_file = "HPL.out";
+  int device_out = 6;       ///< 6 = stdout, 7 = stderr, else file
+  double threshold = 16.0;  ///< residual acceptance bound
   bool l1_transposed = false;
   bool u_transposed = false;
   bool equilibration = true;
   int alignment = 8;
 
-  // rocHPL-style extension (non-classic, optional trailing lines).
-  double split_fraction = 0.5;
-  int fact_threads = 1;
-  int blas_threads = 0;           ///< 0 = leave the installed team alone
-  long comm_eager_bytes = 32768;  ///< transport eager/direct threshold
-  long swap_tile_cols = 256;      ///< kernel-engine column tile width
-                                  ///< (0 = startup autotune probe)
-  int kernel_threads = 0;         ///< kernel-engine team cap (0 = whole team)
-  int update_streams = 1;         ///< trailing-update stream pool size
-  long update_band_cols = 0;      ///< update band width (0 = even split)
-  int hazard_check = 0;           ///< 1 = attach the hazard-checking runtime
-  long swap_chunk_bytes = 256 * 1024;  ///< pipelined RS chunk size
-                                       ///< (0 = autotune)
-  /// Working precision of the factorization: "fp64" (classic HPL),
-  /// "mxp32" (fp32 factors + fp64 iterative refinement), or "mxp16-sim"
-  /// (fp32 compute billed at the fp16 throughput curves).
-  std::string precision = "fp64";
-  int ir_max_iters = 30;  ///< refinement correction budget (mxp modes)
-  double ir_tol = 16.0;   ///< scaled-residual target refinement must reach
-  /// Pivoting strategy: 0 = full partial pivoting (classic HPL), 1 = no
-  /// pivoting (gesv_nopiv path; requires a diagonally-dominant matrix).
-  int pivoting = 0;
-  /// 1 = generate a diagonally-dominant matrix (+N on the diagonal) — the
-  /// input family where `pivoting = 1` is numerically safe.
-  int diag_dominant = 0;
-  /// Right-hand sides per solve (>= 1): the backsolve runs blocked
-  /// trsm/gemm over an n×nrhs panel instead of the single-vector path.
-  int nrhs = 1;
-  /// 1 = pooled allocation (device buffers, host arena, message pools
-  /// share the unified size-classed allocator; zero steady-state system
-  /// allocations), 0 = passthrough ablation.
-  int alloc_pool = 1;
-  /// Cap on bytes parked on the pool freelists (< 0 = unbounded).
-  long alloc_cache_bytes = -1;
-  /// 1 = attach the communication verifier (comm::Verifier) to every
-  /// fabric of the run.
-  int comm_check = 0;
+  /// Every other setting: PMAP (row_major_grid), SWAP (swap), the swapping
+  /// threshold, and the hplx/rocHPL extension lines. Each expanded config
+  /// starts as a copy of it.
+  HplConfig base;
 };
 
 /// Parse an HPL.dat stream. Throws hplx::Error with a line diagnostic on
@@ -99,7 +66,8 @@ HplDat parse_hpldat_string(const std::string& text);
 
 /// Expand the cartesian sweep an HPL.dat describes into concrete solver
 /// configurations (one per N × NB × grid × fact × depth × bcast combo,
-/// exactly like xhpl's nested loops).
+/// exactly like xhpl's nested loops). Each is a copy of `dat.base` with
+/// only the sweep fields set.
 std::vector<HplConfig> expand_configs(const HplDat& dat);
 
 /// Serialize back to the classic format (round-trips through

@@ -396,8 +396,8 @@ void base(Shared<T>& s, int tid, int k0, int kb, FactVariant v) {
 /// DGEMM on their own tiles), recurse on the right part.
 template <typename T>
 void recurse(Shared<T>& s, int tid, int k0, int kb, FactVariant bv) {
-  const int nbmin = std::max(1, s.cfg.rfact_nbmin);
-  const int ndiv = std::max(2, s.cfg.rfact_ndiv);
+  const int nbmin = s.cfg.rfact_nbmin;
+  const int ndiv = s.cfg.rfact_ndiv;
   if (kb <= nbmin) {
     base(s, tid, k0, kb, bv);
     return;
@@ -553,6 +553,7 @@ void panel_factorize(comm::Communicator& col_comm, const HplConfig& cfg,
                      ThreadTeam& team, const PanelTaskT<T>& task,
                      FactTimers* timers) {
   HPLX_CHECK(task.jb >= 1);
+  HPLX_CHECK(cfg.rfact_nbmin >= 1 && cfg.rfact_ndiv >= 2);
   HPLX_CHECK(task.w != nullptr || task.mw == 0);
   HPLX_CHECK(task.top != nullptr && task.ipiv != nullptr);
   HPLX_CHECK(task.ldtop >= task.jb);

@@ -1,6 +1,7 @@
 #include "core/rowswap.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "comm/collectives.hpp"
 #include "device/hazard.hpp"
@@ -9,6 +10,13 @@
 #include "util/timer.hpp"
 
 namespace hplx::core {
+
+namespace {
+
+/// Set while a testing::ScopedSkipScatterFence lives.
+std::atomic<bool> g_skip_scatter_fence{false};
+
+}  // namespace
 
 RowSwapPlan build_rowswap_plan(long j, int jb, const long* ipiv) {
   RowSwapPlan plan;
@@ -120,7 +128,7 @@ void RowSwapperT<T>::prepare(const RowSwapPlan& plan, const DistMatrixT<T>& a,
   // unpacks to drain. The wait is usually already satisfied; it only blocks when
   // the host has run a full iteration ahead of the device.
   if (scatter_pending_) {
-    if (test_skip_scatter_fence_) {
+    if (g_skip_scatter_fence.load()) {
       // Test hook: the wait still happens (no real race), but without the
       // tracker's happens-before join — modeling the fence as omitted.
       scatter_done_.wait_unordered();
@@ -455,5 +463,13 @@ void RowSwapperT<T>::scatter(device::Stream& stream, DistMatrixT<T>& a,
 
 template class RowSwapperT<double>;
 template class RowSwapperT<float>;
+
+testing::ScopedSkipScatterFence::ScopedSkipScatterFence() {
+  g_skip_scatter_fence = true;
+}
+
+testing::ScopedSkipScatterFence::~ScopedSkipScatterFence() {
+  g_skip_scatter_fence = false;
+}
 
 }  // namespace hplx::core

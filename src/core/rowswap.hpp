@@ -155,17 +155,6 @@ class RowSwapperT {
   long njl() const { return njl_; }
   int jb() const { return jb_; }
 
-  /// Test hook: when set, prepare() still performs the scatter_done wait
-  /// (execution stays correct) but through Event::wait_unordered, so the
-  /// hazard tracker models the fence as absent. This re-introduces, for
-  /// the checker only, the bug class the fence was added for: rewriting
-  /// staging buffers that in-flight scatter kernels read. Per-instance
-  /// (the driver copies HplConfig::test_skip_scatter_fence into every
-  /// swapper it builds); never set outside hazard tests.
-  void set_test_skip_scatter_fence(bool skip) {
-    test_skip_scatter_fence_ = skip;
-  }
-
  private:
   void do_communicate(comm::Communicator& col_comm, double* mpi_seconds,
                       device::Stream& stream, T* u_dev, long ldu,
@@ -182,7 +171,6 @@ class RowSwapperT {
   comm::AllgatherAlgo u_algo_ = comm::AllgatherAlgo::Ring;
   bool nopiv_ = false;    ///< no-pivot mode: broadcast-only U replication
   long chunk_bytes_ = 0;  ///< U allgatherv chunk (0 = one per segment)
-  bool test_skip_scatter_fence_ = false;
   /// The owning device's hazard tracker (null when checking is off);
   /// latched from the stream in gather().
   device::HazardTracker* hz_ = nullptr;
@@ -213,5 +201,24 @@ class RowSwapperT {
 };
 
 using RowSwapper = RowSwapperT<double>;
+
+namespace testing {
+
+/// Test-only seam for hazard tests. While an instance lives, every
+/// RowSwapper's prepare() still performs the scatter-fence wait (execution
+/// stays correct) but through Event::wait_unordered, so the hazard tracker
+/// models the fence as absent. This re-introduces, for the checker only,
+/// the bug class the fence exists for: rewriting staging buffers that
+/// in-flight scatter kernels read. Process-wide, so it reaches the
+/// swappers run_hpl builds; never use it outside tests.
+class ScopedSkipScatterFence {
+ public:
+  ScopedSkipScatterFence();
+  ~ScopedSkipScatterFence();
+  ScopedSkipScatterFence(const ScopedSkipScatterFence&) = delete;
+  ScopedSkipScatterFence& operator=(const ScopedSkipScatterFence&) = delete;
+};
+
+}  // namespace testing
 
 }  // namespace hplx::core

@@ -22,8 +22,8 @@
 
 namespace hplx::device {
 
-/// Process-global kernel-engine knobs (HplConfig::swap_tile_cols /
-/// HplConfig::kernel_threads, or the matching HPL.dat extension lines).
+/// Process-global kernel-engine knobs. The solver runs with the defaults
+/// below; the kernel benchmarks and engine tests sweep them.
 struct EngineConfig {
   /// Column-tile width in matrix columns. Bounds the per-tile working set
   /// and sets the parallel grain; must be >= 1.

@@ -3,7 +3,7 @@
 /// The positive half re-introduces PR 4's bug class on purpose: the
 /// RowSwapper's scatter fence is the event that orders the host's U
 /// staging-buffer rewrite behind the previous iteration's device-side
-/// unpack. `HplConfig::test_skip_scatter_fence` keeps the *wait* (so the
+/// unpack. `core::testing::ScopedSkipScatterFence` keeps the *wait* (so the
 /// run stays numerically correct and race-free) but hides the
 /// happens-before edge from the tracker — exactly what the code would
 /// look like had the fence been forgotten — and the checker must report
@@ -22,6 +22,7 @@
 
 #include "comm/world.hpp"
 #include "core/driver.hpp"
+#include "core/rowswap.hpp"
 #include "device/hazard.hpp"
 
 namespace hplx::core {
@@ -66,9 +67,11 @@ TEST(HazardSolve, MissingChunkFenceIsReported) {
   cfg.pipeline = PipelineMode::Lookahead;
   cfg.swap_chunk_bytes = 4096;
 
-  HplConfig skip = cfg;
-  skip.test_skip_scatter_fence = true;
-  const HplResult bad = run(skip);
+  HplResult bad;
+  {
+    testing::ScopedSkipScatterFence skip;
+    bad = run(cfg);
+  }
   // The wait itself still happens, so the answer is untouched...
   EXPECT_TRUE(bad.verify.passed) << "residual=" << bad.verify.residual;
   // ...but the model must see the missing edge.

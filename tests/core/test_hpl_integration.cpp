@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -130,6 +131,49 @@ TEST(HplSolve, BadSplitFractionIsRejectedOnEveryRank) {
       }
     });
     EXPECT_EQ(rejected.load(), cfg.p * cfg.q) << "split_fraction " << bad;
+  }
+}
+
+TEST(HplSolve, BadKnobsAreRejectedOnEveryRank) {
+  // Each knob outside its range is rejected before any communication, so
+  // every rank throws, and the message names the field and the value.
+  struct Bad {
+    const char* field;
+    void (*set)(HplConfig&);
+    const char* value;
+  };
+  const Bad bads[] = {
+      {"update_streams", [](HplConfig& c) { c.update_streams = 0; }, "0"},
+      {"update_streams", [](HplConfig& c) { c.update_streams = 9; }, "9"},
+      {"fact_threads", [](HplConfig& c) { c.fact_threads = 0; }, "0"},
+      {"rfact_nbmin", [](HplConfig& c) { c.rfact_nbmin = 0; }, "0"},
+      {"rfact_ndiv", [](HplConfig& c) { c.rfact_ndiv = 1; }, "1"},
+      {"blas_threads", [](HplConfig& c) { c.blas_threads = -1; }, "-1"},
+      {"ir_max_iters", [](HplConfig& c) { c.ir_max_iters = -1; }, "-1"},
+      {"ir_tol", [](HplConfig& c) { c.ir_tol = 0.0; }, "0"},
+      {"ir_tol", [](HplConfig& c) { c.ir_tol = -2.0; }, "-2"},
+      {"ir_tol", [](HplConfig& c) { c.ir_tol = std::nan(""); }, "nan"},
+      {"ir_tol",
+       [](HplConfig& c) { c.ir_tol = std::numeric_limits<double>::infinity(); },
+       "inf"},
+      {"swap_chunk_bytes", [](HplConfig& c) { c.swap_chunk_bytes = 0; }, "0"},
+  };
+  for (const Bad& bad : bads) {
+    HplConfig cfg = base_cfg(64, 16, 2, 2);
+    bad.set(cfg);
+    std::atomic<int> rejected{0};
+    comm::World::run(cfg.p * cfg.q, [&](comm::Communicator& world) {
+      try {
+        run_hpl(world, cfg);
+      } catch (const Error& e) {
+        const std::string what = e.what();
+        if (what.find(bad.field) != std::string::npos &&
+            what.find(std::string("got ") + bad.value) != std::string::npos)
+          ++rejected;
+      }
+    });
+    EXPECT_EQ(rejected.load(), cfg.p * cfg.q)
+        << bad.field << " = " << bad.value;
   }
 }
 

@@ -11,6 +11,7 @@
 
 #include "comm/world.hpp"
 #include "core/driver.hpp"
+#include "util/error.hpp"
 
 namespace hplx::core {
 namespace {
@@ -94,13 +95,19 @@ TEST(MultiStream, OccupancyRecordsCoverEveryStream) {
   }
 }
 
-TEST(MultiStream, StreamCountClampedToRecordCapacity) {
+TEST(MultiStream, StreamCountBeyondRecordCapacityIsRejected) {
+  // The per-iteration records hold kMaxUpdateStreams streams: that many
+  // run, one more is an error rather than a silent clamp.
   HplConfig cfg = base_cfg(64, 16, 1, 1);
-  cfg.update_streams = 64;  // silently clamped to kMaxUpdateStreams
+  cfg.update_streams = trace::kMaxUpdateStreams;
   const HplResult r = run(cfg);
   EXPECT_TRUE(r.verify.passed);
-  EXPECT_LE(r.stream_real_seconds.size(),
+  EXPECT_EQ(r.stream_real_seconds.size(),
             static_cast<std::size_t>(trace::kMaxUpdateStreams));
+  for (const int bad : {0, trace::kMaxUpdateStreams + 1, 64}) {
+    cfg.update_streams = bad;
+    EXPECT_THROW(run(cfg), Error) << bad;
+  }
 }
 
 }  // namespace

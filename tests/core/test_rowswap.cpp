@@ -135,8 +135,7 @@ TEST_P(RowSwapPipelineSweep, ChunkAlgoAndStreamConfigsAgreeBitwise) {
   ASSERT_TRUE(r0.verify.passed) << "reference residual=" << r0.verify.residual;
 
   // 1 KiB = many chunks per segment, 256 KiB = the shipping default (one
-  // chunk per segment at this size). run_hpl resolves 0 to the autotune
-  // probe, which lands on one of these regimes.
+  // chunk per segment at this size).
   for (const long chunk : {1024L, 256L * 1024L}) {
     for (const auto algo : {RowSwapAlgo::SpreadRoll,
                             RowSwapAlgo::BinaryExchange, RowSwapAlgo::Mix}) {

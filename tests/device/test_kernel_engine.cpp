@@ -3,8 +3,8 @@
 /// row-swap/copy kernel must produce *bitwise identical* results to a
 /// naive sequential reference for any tile width and team size, because a
 /// tile covers whole columns and each output element is written by exactly
-/// one tile. Also checks the end-to-end wiring: run_hpl residuals must not
-/// change when HplConfig::swap_tile_cols / kernel_threads change.
+/// one tile. Also checks end to end that run_hpl residuals do not change
+/// with the installed engine configuration.
 
 #include <gtest/gtest.h>
 
@@ -223,9 +223,8 @@ TEST(KernelEngine, SolverResidualBitwiseIdenticalAcrossEngineConfigs) {
     cfg.p = 1;
     cfg.q = 1;
     cfg.pipeline = core::PipelineMode::LookaheadSplit;
-    cfg.swap_tile_cols = c.tile;
-    cfg.kernel_threads = c.threads;
     cfg.blas_threads = c.threads == 0 ? 2 : c.threads;
+    configure_engine({c.tile, c.threads});
     core::HplResult result;
     comm::World::run(1, [&](comm::Communicator& world) {
       result = core::run_hpl(world, cfg);
