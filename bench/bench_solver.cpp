@@ -140,52 +140,6 @@ BENCHMARK(BM_SolverStreams)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-/// Pipelined row-swap broadcast. Args: {N, NB, P, Q, chunk_bytes};
-/// always the split pipeline. Exports the measured U-assembly wall time
-/// (rs_wire_s) and the modeled seconds of fused chunk unpacks enqueued
-/// during it (rs_unpack_s). The two are on different clocks, so no ratio
-/// of them is exported.
-void BM_SolverRowswap(benchmark::State& state) {
-  core::HplConfig cfg;
-  cfg.n = state.range(0);
-  cfg.nb = static_cast<int>(state.range(1));
-  cfg.p = static_cast<int>(state.range(2));
-  cfg.q = static_cast<int>(state.range(3));
-  cfg.pipeline = core::PipelineMode::LookaheadSplit;
-  cfg.swap_chunk_bytes = state.range(4);
-  cfg.fact_threads = 2;
-
-  double gflops = 0.0, wire_s = 0.0, unpack_s = 0.0;
-  long solves = 0;
-  for (auto _ : state) {
-    const core::HplResult r = solve_once(cfg);
-    if (!r.verify.passed) {
-      state.SkipWithError("residual check FAILED");
-      return;
-    }
-    gflops += r.gflops;
-    wire_s += r.rs_wire_seconds;
-    unpack_s += r.rs_unpack_seconds;
-    ++solves;
-    benchmark::DoNotOptimize(r.seconds);
-  }
-  if (solves > 0) {
-    const double inv = 1.0 / static_cast<double>(solves);
-    state.counters["GF/s"] = gflops * inv;
-    state.counters["rs_wire_s"] = wire_s * inv;
-    state.counters["rs_unpack_s"] = unpack_s * inv;
-  }
-}
-
-BENCHMARK(BM_SolverRowswap)
-    // The acceptance shape (N=2048, NB=256).
-    ->Args({2048, 256, 1, 1, 256 * 1024})
-    // Cross-rank transport: the allgatherv actually rides the fabric.
-    ->Args({1024, 128, 2, 2, 64 * 1024})
-    ->Args({1024, 128, 2, 2, 256 * 1024})
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
 /// Mixed-precision (HPL-MxP) mode against the fp64 baseline. Args: {N,
 /// NB, precision tag (0 = fp64, 1 = mxp32)}; always the split pipeline on
 /// one rank, where the fp32 trailing update's billing advantage shows up

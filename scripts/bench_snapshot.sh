@@ -47,11 +47,6 @@ cd "$out"
   --benchmark_out="$out/BENCH_streams.json" \
   --benchmark_out_format=json
 "$build/bench/bench_solver" \
-  --benchmark_filter='BM_SolverRowswap/' \
-  --benchmark_min_time="$min_time" \
-  --benchmark_out="$out/BENCH_rowswap.json" \
-  --benchmark_out_format=json
-"$build/bench/bench_solver" \
   --benchmark_filter='BM_SolverMxp/' \
   --benchmark_min_time="$min_time" \
   --benchmark_out="$out/BENCH_mxp.json" \
@@ -72,4 +67,4 @@ cd "$out"
   --benchmark_out="$out/BENCH_commcheck.json" \
   --benchmark_out_format=json
 
-echo "wrote $out/BENCH_{blas,comm,kernels,solver,streams,rowswap,mxp,variants,alloc,commcheck}.json"
+echo "wrote $out/BENCH_{blas,comm,kernels,solver,streams,mxp,variants,alloc,commcheck}.json"

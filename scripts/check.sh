@@ -1,10 +1,10 @@
 #!/usr/bin/env sh
 # One-command tier-1 gate: configure + build + full ctest in the default
 # build (warnings-as-errors for src/), then rebuild the concurrency-heavy
-# suites (ctest label "tsan": util/blas/comm/device + the chunked-transport
-# stress, solver integration and mixed-precision suites) under
+# suites (ctest label "tsan": util/blas/comm/device + the allgatherv
+# transport, solver integration and mixed-precision suites) under
 # ThreadSanitizer, then the allocation-heavy suites (ctest label "asan":
-# grid/rng/trace + the hazard-checker, chunked-transport, solver
+# grid/rng/trace + the hazard-checker, allgatherv transport, solver
 # integration, simulator, mixed-precision and core suites — the last holds
 # the HPL.dat parser, which reads outside input) under
 # AddressSanitizer+LeakSanitizer+UBSan. The mixed-precision suite also
@@ -69,7 +69,7 @@ else
   cmake -B "$build_tsan" -S "$repo" -DHPLX_SANITIZE=thread \
     -DHPLX_WERROR=ON >/dev/null
   cmake --build "$build_tsan" -j "$jobs" \
-    --target test_util test_blas test_comm test_comm_chunked test_device \
+    --target test_util test_blas test_comm test_comm_allgatherv test_device \
              test_hpl test_alloc test_mxp test_variants test_commcheck
   ctest --test-dir "$build_tsan" --output-on-failure -j "$jobs" -L tsan
 fi
@@ -81,7 +81,7 @@ else
   cmake -B "$build_asan" -S "$repo" -DHPLX_SANITIZE=address,undefined \
     -DHPLX_WERROR=ON >/dev/null
   cmake --build "$build_asan" -j "$jobs" \
-    --target test_grid test_rng test_trace test_hazard test_comm_chunked \
+    --target test_grid test_rng test_trace test_hazard test_comm_allgatherv \
              test_hpl test_sim test_alloc test_mxp test_variants \
              test_commcheck test_core
   # LSan rides along with ASan by default on Linux; halt_on_error keeps UB

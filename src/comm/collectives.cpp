@@ -16,17 +16,15 @@ constexpr int kTagAllreduce = 2;
 constexpr int kTagScatterv = 3;
 constexpr int kTagAllgatherv = 4;
 constexpr int kTagGather = 5;
-constexpr int kTagAllgathervChunk = 6;
 
 /// RAII registration of one collective call with the fabric's verifier
 /// (single pointer test when checking is off). Nested implementations —
-/// Ring2Mod delegating to Ring1Mod, chunked allgatherv falling back to the
-/// blocking collective — register only their outermost call. On the
-/// outermost call the payload envelope is also declared to the rank's
-/// device::HazardTracker (the buffer-hazard bridge): a collective touching
-/// a buffer that unfenced in-flight device work still uses is reported
-/// even when the caller forgot its own HostAccessScope. `label` must have
-/// static storage duration.
+/// Ring2Mod delegating to Ring1Mod — register only their outermost call.
+/// On the outermost call the payload envelope is also declared to the
+/// rank's device::HazardTracker (the buffer-hazard bridge): a collective
+/// touching a buffer that unfenced in-flight device work still uses is
+/// reported even when the caller forgot its own HostAccessScope. `label`
+/// must have static storage duration.
 class CollGuard {
  public:
   CollGuard(Communicator& comm, Verifier::Coll c, int root, std::size_t bytes,
@@ -466,24 +464,9 @@ void scatterv_bytes(Communicator& comm, const void* sendbuf,
   }
 }
 
-namespace {
-
-/// Packed-rank-order check: recursive doubling sends contiguous runs of
-/// segments as single messages, which needs displs[i+1] == displs[i] +
-/// counts[i].
-bool displs_packed(const std::vector<std::size_t>& counts,
-                   const std::vector<std::size_t>& displs) {
-  for (std::size_t i = 0; i + 1 < counts.size(); ++i)
-    if (displs[i + 1] != displs[i] + counts[i]) return false;
-  return true;
-}
-
-}  // namespace
-
 void allgatherv_bytes(Communicator& comm, const void* sendbuf,
                       const std::vector<std::size_t>& counts,
-                      const std::vector<std::size_t>& displs, void* recvbuf,
-                      AllgatherAlgo algo) {
+                      const std::vector<std::size_t>& displs, void* recvbuf) {
   const int n = comm.size();
   HPLX_CHECK(static_cast<int>(counts.size()) == n);
   HPLX_CHECK(static_cast<int>(displs.size()) == n);
@@ -506,32 +489,6 @@ void allgatherv_bytes(Communicator& comm, const void* sendbuf,
   }
   if (n == 1) return;
 
-  const bool power_of_two = (n & (n - 1)) == 0;
-  if (algo == AllgatherAlgo::RecursiveDoubling && power_of_two &&
-      displs_packed(counts, displs)) {
-    // Binary exchange: at round k each rank holds the 2^k consecutive
-    // segments of its aligned group and swaps them with its partner's.
-    for (int mask = 1; mask < n; mask <<= 1) {
-      const int partner = me ^ mask;
-      const int my_start = me & ~(mask - 1);
-      const int partner_start = partner & ~(mask - 1);
-      auto run_bytes = [&](int start) {
-        std::size_t total = 0;
-        for (int i = start; i < start + mask; ++i)
-          total += counts[static_cast<std::size_t>(i)];
-        return total;
-      };
-      const std::size_t send_bytes = run_bytes(my_start);
-      const std::size_t recv_bytes = run_bytes(partner_start);
-      comm.send_internal(base + displs[static_cast<std::size_t>(my_start)],
-                         send_bytes, partner, kTagAllgatherv);
-      comm.recv_internal(
-          base + displs[static_cast<std::size_t>(partner_start)], recv_bytes,
-          partner, kTagAllgatherv);
-    }
-    return;
-  }
-
   // Ring: at step s, forward segment (me - s) mod n to the right neighbour
   // and receive segment (me - s - 1) mod n from the left.
   const int next = (me + 1) % n;
@@ -543,107 +500,6 @@ void allgatherv_bytes(Communicator& comm, const void* sendbuf,
                        kTagAllgatherv);
     comm.recv_internal(base + displs[recv_seg], counts[recv_seg], prev,
                        kTagAllgatherv);
-  }
-}
-
-namespace {
-
-/// Chunk boundaries for one segment: multiples of `grain`, each at most
-/// `chunk_bytes` (rounded down to a grain multiple, at least one grain).
-/// chunk_bytes == 0 or grain >= seg_bytes yields the whole segment.
-std::vector<std::size_t> chunk_bounds(std::size_t seg_bytes,
-                                      std::size_t chunk_bytes,
-                                      std::size_t grain) {
-  std::vector<std::size_t> bounds{0};
-  if (seg_bytes == 0) return bounds;
-  if (grain == 0) grain = 1;
-  std::size_t step = chunk_bytes == 0 ? seg_bytes : chunk_bytes;
-  step = std::max(grain, step / grain * grain);
-  for (std::size_t off = step; off < seg_bytes; off += step)
-    bounds.push_back(off);
-  bounds.push_back(seg_bytes);
-  return bounds;
-}
-
-}  // namespace
-
-void allgatherv_chunked(
-    Communicator& comm, const void* sendbuf,
-    const std::vector<std::size_t>& counts,
-    const std::vector<std::size_t>& displs, void* recvbuf,
-    std::size_t chunk_bytes, const std::vector<std::size_t>& grains,
-    const std::function<void(const ChunkDelivery&)>& on_chunk,
-    AllgatherAlgo algo) {
-  const int n = comm.size();
-  HPLX_CHECK(static_cast<int>(counts.size()) == n);
-  HPLX_CHECK(static_cast<int>(displs.size()) == n);
-  HPLX_CHECK(static_cast<int>(grains.size()) == n);
-  const int me = comm.rank();
-  std::byte* base = static_cast<std::byte*>(recvbuf);
-  std::size_t extent = 0;
-  for (int i = 0; i < n; ++i)
-    extent = std::max(extent, displs[static_cast<std::size_t>(i)] +
-                                  counts[static_cast<std::size_t>(i)]);
-  const std::uint64_t total = counts_sum(counts);
-  // Same descriptor as the blocking allgatherv: chunking is an
-  // implementation detail (the RecursiveDoubling path even delegates to
-  // allgatherv_bytes, which nests under this registration).
-  CollGuard guard(comm, Verifier::Coll::Allgatherv, -1,
-                  static_cast<std::size_t>(total), total, "comm.allgatherv",
-                  recvbuf, extent, /*write=*/true);
-
-  // Own contribution lands (and is delivered) first — no wire traffic.
-  const std::size_t mine = counts[static_cast<std::size_t>(me)];
-  if (mine > 0 && base + displs[static_cast<std::size_t>(me)] != sendbuf)
-    std::memcpy(base + displs[static_cast<std::size_t>(me)], sendbuf, mine);
-  if (mine > 0 && on_chunk)
-    on_chunk({me, displs[static_cast<std::size_t>(me)], mine});
-  if (n == 1) return;
-
-  if (algo != AllgatherAlgo::Ring) {
-    // RecursiveDoubling exchanges runs of segments, so a partially landed
-    // chunk may belong to several ranks — not worth untangling here. Run
-    // the blocking collective and deliver whole remote segments. The own
-    // segment has landed already, so it is passed in place: the nested
-    // collective must not rewrite it while its unpack may be reading it.
-    allgatherv_bytes(comm, base + displs[static_cast<std::size_t>(me)],
-                     counts, displs, recvbuf, algo);
-    for (int r = 0; r < n; ++r) {
-      if (r == me) continue;
-      const std::size_t c = counts[static_cast<std::size_t>(r)];
-      if (c > 0 && on_chunk) on_chunk({r, displs[static_cast<std::size_t>(r)], c});
-    }
-    return;
-  }
-
-  // Chunked ring: the classic step s forwards segment (me - s) mod n and
-  // receives segment (me - s - 1) mod n; here both halves are split into
-  // grain-aligned chunks and interleaved, so the callback fires per chunk
-  // while later chunks (and later ring steps) are still on the wire.
-  // Sends are eager-buffered by the fabric, so a full chunk send never
-  // blocks on the partner's matching receive.
-  const int next = (me + 1) % n;
-  const int prev = (me - 1 + n) % n;
-  for (int s = 0; s < n - 1; ++s) {
-    const std::size_t send_seg =
-        static_cast<std::size_t>(((me - s) % n + n) % n);
-    const std::size_t recv_seg =
-        static_cast<std::size_t>(((me - s - 1) % n + n) % n);
-    const auto sb = chunk_bounds(counts[send_seg], chunk_bytes, grains[send_seg]);
-    const auto rb = chunk_bounds(counts[recv_seg], chunk_bytes, grains[recv_seg]);
-    const std::size_t rounds = std::max(sb.size(), rb.size()) - 1;
-    for (std::size_t c = 0; c < rounds; ++c) {
-      if (c + 1 < sb.size()) {
-        comm.send_internal(base + displs[send_seg] + sb[c], sb[c + 1] - sb[c],
-                           next, kTagAllgathervChunk);
-      }
-      if (c + 1 < rb.size()) {
-        const std::size_t off = displs[recv_seg] + rb[c];
-        const std::size_t len = rb[c + 1] - rb[c];
-        comm.recv_internal(base + off, len, prev, kTagAllgathervChunk);
-        if (on_chunk) on_chunk({static_cast<int>(recv_seg), off, len});
-      }
-    }
   }
 }
 

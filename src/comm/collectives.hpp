@@ -99,55 +99,14 @@ void scatterv_bytes(Communicator& comm, const void* sendbuf,
                     int root);
 
 // ------------------------------------------------------------- allgatherv
-/// Allgather algorithm selector (the trade HPL's SWAP input exposes):
-/// Ring is bandwidth-optimal (size-1 latency hops); RecursiveDoubling is
-/// the binary-exchange pattern (log2 hops, same bytes) and wins when the
-/// segments are small. RecursiveDoubling requires displs to be packed in
-/// rank order (displs[i+1] = displs[i] + counts[i]); non-power-of-two
-/// sizes fall back to Ring.
-enum class AllgatherAlgo { Ring, RecursiveDoubling };
-
 /// Each rank contributes counts[rank] bytes (its segment of recvbuf, at
-/// offset displs[rank]); on return every rank holds all segments.
+/// offset displs[rank]); on return every rank holds all segments. Ring
+/// schedule: size-1 steps, each forwarding one whole segment to the right
+/// neighbour (bandwidth-optimal). sendbuf may alias the rank's own
+/// segment of recvbuf, in which case the local copy is skipped.
 void allgatherv_bytes(Communicator& comm, const void* sendbuf,
                       const std::vector<std::size_t>& counts,
-                      const std::vector<std::size_t>& displs, void* recvbuf,
-                      AllgatherAlgo algo = AllgatherAlgo::Ring);
-
-/// One landed piece of a chunked allgatherv: `bytes` bytes of rank
-/// `rank`'s segment, already stored at recvbuf + `offset` (absolute, in
-/// bytes) when the callback fires.
-struct ChunkDelivery {
-  int rank;            ///< segment owner
-  std::size_t offset;  ///< absolute byte offset into recvbuf
-  std::size_t bytes;   ///< chunk length
-};
-
-/// Progress-driven allgatherv: same contract as allgatherv_bytes, but the
-/// wire traffic is split into chunks of at most `chunk_bytes` and
-/// `on_chunk` fires as soon as each chunk is resident in recvbuf — while
-/// the rest of the collective is still in flight. This is the paper's
-/// Fig 2c overlap lever: the receive-side deserialization (device
-/// scatters of U) can be enqueued per chunk instead of serializing after
-/// the full gather.
-///
-/// `grains[r]` is the indivisible unit (bytes) of rank r's segment — a
-/// wire row or column — so every delivered chunk is a whole number of
-/// rows/columns; the effective chunk size is chunk_bytes rounded down to
-/// a grain multiple (at least one grain). grain 0 means byte-granular.
-/// chunk_bytes == 0 delivers each segment as a single chunk.
-///
-/// The local segment is delivered first (one callback, no wire traffic).
-/// Chunked delivery is implemented for the Ring schedule; RecursiveDoubling
-/// falls back to the blocking collective followed by one whole-segment
-/// delivery per remote rank.
-void allgatherv_chunked(Communicator& comm, const void* sendbuf,
-                        const std::vector<std::size_t>& counts,
-                        const std::vector<std::size_t>& displs, void* recvbuf,
-                        std::size_t chunk_bytes,
-                        const std::vector<std::size_t>& grains,
-                        const std::function<void(const ChunkDelivery&)>& on_chunk,
-                        AllgatherAlgo algo = AllgatherAlgo::Ring);
+                      const std::vector<std::size_t>& displs, void* recvbuf);
 
 template <typename T>
 void allgatherv(Communicator& comm, const T* sendbuf,

@@ -36,15 +36,6 @@ enum class PipelineMode {
 
 const char* to_string(PipelineMode m);
 
-/// Row-swapping communication algorithm (HPL's SWAP input). SpreadRoll is
-/// the scatterv+allgatherv structure of Fig. 2c; BinaryExchange trades
-/// bandwidth optimality for log2(P) latency hops; Mix switches to
-/// BinaryExchange once the trailing window is at most `swap_threshold`
-/// columns wide (the latency-bound tail).
-enum class RowSwapAlgo { SpreadRoll, BinaryExchange, Mix };
-
-const char* to_string(RowSwapAlgo a);
-
 /// Arithmetic mode of the factorization (the HPL-MxP lever). FP64 is the
 /// classic benchmark. MXP32 runs the entire LU — panel factorization,
 /// broadcast, row swaps, trailing update, backsolve — in fp32 (half the
@@ -85,18 +76,6 @@ struct HplConfig {
   double split_fraction = 0.5;
 
   comm::BcastAlgo bcast = comm::BcastAlgo::Ring1Mod;
-
-  RowSwapAlgo swap = RowSwapAlgo::SpreadRoll;
-  /// Column-width threshold for RowSwapAlgo::Mix.
-  long swap_threshold = 64;
-
-  /// Chunk size (bytes) for the pipelined U-assembly broadcast: the
-  /// allgatherv is split into chunks of at most this many bytes and the
-  /// per-chunk device unpack is enqueued as each chunk lands, overlapping
-  /// deserialization with the remaining wire traffic. Must be >= 1.
-  /// Chunks are rounded to whole wire columns, so any value is
-  /// bitwise-identical.
-  long swap_chunk_bytes = 256 * 1024;
 
   /// Optional user-supplied panel broadcast, overriding `bcast`. The
   /// paper's discussion notes rocHPL keeps its communication routines

@@ -62,7 +62,7 @@ std::vector<Rec> gather_to_root(comm::Communicator& world,
 struct IterStats {
   double fact = 0.0;
   double mpi = 0.0;
-  RowSwapStats rs;  ///< row-swap wire/fused-unpack seconds
+  RowSwapStats rs;  ///< row-swap wire seconds, unpack seconds, wire bytes
 };
 
 /// The whole factorization machine, templated over the working precision.
@@ -99,7 +99,6 @@ class Solver {
     for (RowSwapperT<T>* rs : {&rs_main_, &rs_la_, &rs_left_,
                                rs_right_.get(), rs_right_next_.get()}) {
       rs->reserve(dev_.host_arena(), cfg.nb, a_.nloc(), cfg.p);
-      rs->set_chunk_bytes(cfg.swap_chunk_bytes);
       rs->set_pivot_mode(cfg.pivoting);
     }
     w_.reserve(static_cast<std::size_t>(std::max<long>(a_.mloc(), 1)) *
@@ -388,8 +387,7 @@ class Solver {
     const int jb = jb_at(j);
     build_rowswap_plan(j, jb, panel.ipiv.data(), plan);
     const long start = std::max<long>(csplit_, col_of(j + jb));
-    rs.prepare(plan, a_, grid_.myrow(), start, a_.nloc() - start, cfg_.swap,
-               cfg_.swap_threshold);
+    rs.prepare(plan, a_, grid_.myrow(), start, a_.nloc() - start);
     rs.gather(compute_, a_);
     return start;
   }
@@ -503,16 +501,21 @@ class Solver {
     // fabric this rank touches, while the fills still count as warmup.
     // Device and arena pools are skipped: their lease sizes are
     // deterministic max-extent functions of the iteration, so warmup
-    // already covers them. The bound: a swap chunk is capped at
-    // max(chunk, one wire column), and one matrix row incl. the B columns
-    // is at least a wire column.
-    const std::size_t row_bytes =
-        static_cast<std::size_t>(cfg_.n + cfg_.nrhs) * sizeof(T);
+    // already covers them. The row and world fabrics need no floor
+    // either: their largest messages, the panel broadcasts, shrink with
+    // the trailing matrix, so warmup saw their top class. The row swap's
+    // messages ride the column fabric, one whole U segment or displaced
+    // block each: at most nb rows of at most nloc columns, and none at all
+    // when the process column has a single row.
     const std::size_t swap_bound =
-        std::max(static_cast<std::size_t>(cfg_.swap_chunk_bytes), row_bytes);
+        grid_.col_comm().size() > 1
+            ? static_cast<std::size_t>(cfg_.nb) *
+                  static_cast<std::size_t>(a_.nloc()) * sizeof(T)
+            : 0;
     for (comm::Communicator* c :
          {&grid_.all_comm(), &grid_.row_comm(), &grid_.col_comm()}) {
-      c->fabric().pool().allocator().prewarm(kPrewarmBlocks, swap_bound);
+      c->fabric().pool().allocator().prewarm(
+          kPrewarmBlocks, c == &grid_.col_comm() ? swap_bound : 0);
     }
     // The upstream counter is process-wide, so the window must open after
     // *every* rank's warmup: without the barrier a slow rank's last
@@ -625,8 +628,7 @@ class Solver {
       u = u_right_.template data_as<T>();
     } else {
       build_rowswap_plan(j, jb, cur.ipiv.data(), plan_);
-      rs_main_.prepare(plan_, a_, grid_.myrow(), jl0, njl, cfg_.swap,
-                       cfg_.swap_threshold);
+      rs_main_.prepare(plan_, a_, grid_.myrow(), jl0, njl);
       rs_main_.gather(compute_, a_);
       rs_main_.communicate(grid_.col_comm(), &st.mpi, compute_, u, cfg_.nb,
                            &st.rs);
@@ -678,11 +680,9 @@ class Solver {
 
     // Gather look-ahead + left rows; scatter the pre-communicated right
     // rows (they must land before UPDATE2 reads the window).
-    rs_la_.prepare(plan_, a_, grid_.myrow(), jl0, la_cols, cfg_.swap,
-                   cfg_.swap_threshold);
+    rs_la_.prepare(plan_, a_, grid_.myrow(), jl0, la_cols);
     rs_la_.gather(compute_, a_);
-    rs_left_.prepare(plan_, a_, grid_.myrow(), left_start, left_cols,
-                     cfg_.swap, cfg_.swap_threshold);
+    rs_left_.prepare(plan_, a_, grid_.myrow(), left_start, left_cols);
     rs_left_.gather(compute_, a_);
     rs_right_->scatter(compute_, a_, u_right_.template data_as<T>(),
                        cfg_.nb);
@@ -718,7 +718,7 @@ class Solver {
     // Hidden by UPDATE2: panel transfer + FACT + LBCAST ...
     if (has_next) make_panel(next, nxt, la_sec, st);
     // ... and the RS1 communication (its rows were gathered up front). The
-    // fused unpacks land on the primary and only write u_left_, which
+    // U unpacks land on the primary and only write u_left_, which
     // nothing reads until UPDATE1's bands (gated on left_ready below).
     rs_left_.communicate(grid_.col_comm(), &st.mpi, compute_,
                          u_left_.template data_as<T>(), cfg_.nb, &st.rs);
@@ -739,7 +739,7 @@ class Solver {
         left_start, left_cols, in_diag, u_row, tail, cfg_.update_band_cols,
         BandPlacement::Spread);
 
-    // RS2 communication, hidden by UPDATE1. Its fused unpacks write
+    // RS2 communication, hidden by UPDATE1. Its U unpacks write
     // u_right_ for the next iteration; they are enqueued after
     // update2.join(compute_), so they stay ordered behind this
     // iteration's reads of u_right_.
@@ -940,9 +940,6 @@ void validate_config(const HplConfig& cfg) {
                  "ir_max_iters must be >= 0, got " << cfg.ir_max_iters);
   HPLX_CHECK_MSG(std::isfinite(cfg.ir_tol) && cfg.ir_tol > 0.0,
                  "ir_tol must be finite and > 0, got " << cfg.ir_tol);
-  HPLX_CHECK_MSG(cfg.swap_chunk_bytes >= 1,
-                 "swap_chunk_bytes must be >= 1, got "
-                     << cfg.swap_chunk_bytes);
 }
 
 HplResult run_hpl(comm::Communicator& world, const HplConfig& cfg) {

@@ -72,10 +72,9 @@ struct HplResult {
   double transfer_seconds = 0.0;
   double gpu_seconds = 0.0;
 
-  /// Row-swap pipeline totals: measured wall time inside the U-assembly
-  /// collective, and *modeled* device seconds of the unpacks fused into
-  /// chunk delivery (zero on the unfused path). The two are on different
-  /// clocks, so no ratio of them is reported.
+  /// Row-swap totals: measured wall time inside the U-assembly
+  /// collective, and modeled device seconds of the U unpack kernels. The
+  /// two are on different clocks, so no ratio of them is reported.
   double rs_wire_seconds = 0.0;
   double rs_unpack_seconds = 0.0;
   /// Bytes the row-swap collectives put on the wire (this rank), summed

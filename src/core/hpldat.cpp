@@ -142,9 +142,6 @@ constexpr comm::BcastAlgo kBcastCodes[] = {
     comm::BcastAlgo::Ring1, comm::BcastAlgo::Ring1Mod,
     comm::BcastAlgo::Ring2, comm::BcastAlgo::Ring2Mod,
     comm::BcastAlgo::Long,  comm::BcastAlgo::LongMod};
-constexpr RowSwapAlgo kSwapCodes[] = {RowSwapAlgo::BinaryExchange,
-                                      RowSwapAlgo::SpreadRoll,
-                                      RowSwapAlgo::Mix};
 constexpr PrecisionMode kPrecisions[] = {
     PrecisionMode::FP64, PrecisionMode::MXP32, PrecisionMode::MXP16Sim};
 
@@ -208,12 +205,7 @@ const ExtensionLine kExtensionLines[] = {
      },
      [](std::ostream& os, const HplConfig& c) { os << c.hazard_check; }, 0},
     {"swap wire format", nullptr, nullptr, nullptr, 1},
-    {"swap chunk bytes", "hplx extension, >=1",
-     [](DatReader& r, const char* w, HplConfig& c) {
-       c.swap_chunk_bytes = r.integer(w, 1);
-     },
-     [](std::ostream& os, const HplConfig& c) { os << c.swap_chunk_bytes; },
-     0},
+    {"swap chunk bytes", nullptr, nullptr, nullptr, 262144},
     {"precision", "hplx extension, fp64|mxp32|mxp16-sim",
      [](DatReader& r, const char*, HplConfig& c) {
        const std::string t = r.token();
@@ -303,8 +295,8 @@ HplDat parse_hpldat(std::istream& in) {
   for (int code : r.counted_list<int>("BCASTs", 0, 5))
     dat.bcasts.push_back(kBcastCodes[code]);
 
-  base.swap = kSwapCodes[r.integer<int>("SWAP", 0, 2)];
-  base.swap_threshold = r.integer("swapping threshold");
+  dat.swap = r.integer<int>("SWAP", 0, 2);
+  dat.swap_threshold = r.integer("swapping threshold");
   dat.l1_transposed = r.integer("L1 form") == 0;
   dat.u_transposed = r.integer("U form") == 0;
   dat.equilibration = r.integer("Equilibration") != 0;
@@ -418,9 +410,8 @@ std::string format_hpldat(const HplDat& dat) {
   // Binomial has no classic code; 1 (1rM) is the nearest.
   codes(dat.bcasts, kBcastCodes, 1);
   os << "  BCASTs (0=1rg,1=1rM,2=2rg,3=2rM,4=Lng,5=LnM)\n";
-  os << code_of(kSwapCodes, base.swap, 1)
-     << "  SWAP (0=bin-exch,1=long,2=mix)\n";
-  os << base.swap_threshold << "  swapping threshold\n";
+  os << dat.swap << "  SWAP (0=bin-exch,1=long,2=mix)\n";
+  os << dat.swap_threshold << "  swapping threshold\n";
   os << (dat.l1_transposed ? 0 : 1) << "  L1 in (0=transposed,1=no) form\n";
   os << (dat.u_transposed ? 0 : 1) << "  U  in (0=transposed,1=no) form\n";
   os << (dat.equilibration ? 1 : 0) << "  Equilibration (0=no,1=yes)\n";

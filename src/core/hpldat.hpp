@@ -7,8 +7,8 @@
 /// own knobs via the launch wrapper. hplx reads the classic format and
 /// maps each (N, NB, P×Q, ...) combination to an HplConfig, so existing
 /// HPL.dat files drive the solver unchanged. Unsupported legacy knobs
-/// (threshold, L1/U form, equilibration, alignment) are parsed and
-/// surfaced but do not alter the run.
+/// (threshold, SWAP, swapping threshold, L1/U form, equilibration,
+/// alignment) are parsed and surfaced but do not alter the run.
 ///
 /// The format is line-oriented: two header lines, then one value (or a
 /// space-separated list preceded by its count) per line, each followed by
@@ -46,14 +46,18 @@ struct HplDat {
   std::string output_file = "HPL.out";
   int device_out = 6;       ///< 6 = stdout, 7 = stderr, else file
   double threshold = 16.0;  ///< residual acceptance bound
+  /// HPL's row-swap algorithm code (0 = binary exchange, 1 = long, 2 =
+  /// mix) and the mix's column threshold. hplx always runs the paper's
+  /// scatterv + ring allgatherv.
+  int swap = 1;
+  long swap_threshold = 64;
   bool l1_transposed = false;
   bool u_transposed = false;
   bool equilibration = true;
   int alignment = 8;
 
-  /// Every other setting: PMAP (row_major_grid), SWAP (swap), the swapping
-  /// threshold, and the hplx/rocHPL extension lines. Each expanded config
-  /// starts as a copy of it.
+  /// Every other setting: PMAP (row_major_grid) and the hplx/rocHPL
+  /// extension lines. Each expanded config starts as a copy of it.
   HplConfig base;
 };
 

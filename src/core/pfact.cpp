@@ -33,15 +33,6 @@ const char* to_string(PipelineMode m) {
   return "?";
 }
 
-const char* to_string(RowSwapAlgo a) {
-  switch (a) {
-    case RowSwapAlgo::SpreadRoll: return "spread-roll";
-    case RowSwapAlgo::BinaryExchange: return "binary-exchange";
-    case RowSwapAlgo::Mix: return "mix";
-  }
-  return "?";
-}
-
 const char* to_string(PrecisionMode p) {
   switch (p) {
     case PrecisionMode::FP64: return "fp64";

@@ -118,8 +118,7 @@ void RowSwapperT<T>::reserve(device::PoolAllocator& arena, int max_jb,
 
 template <typename T>
 void RowSwapperT<T>::prepare(const RowSwapPlan& plan, const DistMatrixT<T>& a,
-                             int myrow, long jl0, long njl, RowSwapAlgo algo,
-                             long threshold) {
+                             int myrow, long jl0, long njl) {
   ensure_bound();
   // The previous cycle's scatter kernels captured raw pointers into
   // gathered_u_ / disp_recv_ at enqueue time. Before this cycle resizes
@@ -146,10 +145,6 @@ void RowSwapperT<T>::prepare(const RowSwapPlan& plan, const DistMatrixT<T>& a,
       hz_, "rowswap.prepare",
       {device::span_write(gathered_u_.data(), gathered_u_.size()),
        device::span_write(disp_recv_.data(), disp_recv_.size())});
-  const bool binexch = algo == RowSwapAlgo::BinaryExchange ||
-                       (algo == RowSwapAlgo::Mix && njl <= threshold);
-  u_algo_ = binexch ? comm::AllgatherAlgo::RecursiveDoubling
-                    : comm::AllgatherAlgo::Ring;
   j_ = plan.j;
   jb_ = plan.jb;
   jl0_ = jl0;
@@ -357,45 +352,32 @@ void RowSwapperT<T>::do_communicate(comm::Communicator& col_comm,
                               static_cast<std::size_t>(njl_))});
   Timer timer;
   timer.start();
-  // U assembly: everyone ends up with all jb rows (rank-major blocks), and
-  // each landed chunk is unpacked into U while later chunks are in flight.
+  // U assembly: everyone ends up with all jb rows (rank-major wire blocks).
+  comm::allgatherv_bytes(col_comm, my_u_.data(), u_counts_, u_displs_,
+                         gathered_u_.data());
+  const double wire_dt = timer.stop();
+
+  // Unpack each rank's nr×njl block into its U rows. Packed positions are
+  // rank-major, so rank r's rows start at packed index u_displs_[r] /
+  // row_bytes.
   HPLX_CHECK(ldu >= jb_);
   const std::size_t row_bytes =
       std::max<std::size_t>(static_cast<std::size_t>(njl_) * sizeof(T), 1);
-  // Indivisible wire unit per rank segment: one wire column of nr_r
-  // elements, so every delivered chunk unpacks as whole columns and the
-  // result is bitwise-identical for any chunk size.
-  std::vector<std::size_t> grains(u_counts_.size());
-  for (std::size_t r = 0; r < u_counts_.size(); ++r)
-    grains[r] = u_counts_[r] / row_bytes * sizeof(T);
   double unpack_modeled = 0.0;
-  auto on_chunk = [&](const comm::ChunkDelivery& d) {
-    // The chunk is wire columns [c0, c0+nc) of rank d.rank's nr×njl
-    // block, resident in gathered_u_. Packed positions are rank-major, so
-    // the rank's rows start at packed index u_displs_[rank]/row_bytes.
-    const std::size_t displ = u_displs_[static_cast<std::size_t>(d.rank)];
-    const std::size_t p0 = displ / row_bytes;
-    const std::size_t nr =
-        u_counts_[static_cast<std::size_t>(d.rank)] / row_bytes;
-    if (nr == 0) return;
-    const std::size_t col_bytes = nr * sizeof(T);
-    const std::size_t c0 = (d.offset - displ) / col_bytes;
-    const long nc = static_cast<long>(d.bytes / col_bytes);
+  for (std::size_t r = 0; r < u_counts_.size(); ++r) {
+    const std::size_t nr = u_counts_[r] / row_bytes;
+    if (nr == 0) continue;
+    const std::size_t p0 = u_displs_[r] / row_bytes;
     unpack_modeled += stream.device().model().rowswap_seconds(
-        static_cast<long>(nr), nc, sizeof(T));
+        static_cast<long>(nr), njl_, sizeof(T));
     device::row_scatter(
-        stream, u_dev + static_cast<long>(c0) * ldu, ldu,
+        stream, u_dev, ldu,
         std::vector<long>(
             u_dest_of_packed_.begin() + static_cast<std::ptrdiff_t>(p0),
             u_dest_of_packed_.begin() + static_cast<std::ptrdiff_t>(p0 + nr)),
-        nc, gathered_u_.data() + displ / sizeof(T) + c0 * nr,
+        njl_, gathered_u_.data() + u_displs_[r] / sizeof(T),
         static_cast<long>(nr));
-  };
-  comm::allgatherv_chunked(col_comm, my_u_.data(), u_counts_, u_displs_,
-                           gathered_u_.data(),
-                           static_cast<std::size_t>(chunk_bytes_), grains,
-                           on_chunk, u_algo_);
-  const double wire_dt = timer.stop();
+  }
   if (stats != nullptr) {
     stats->wire_s += wire_dt;
     stats->unpack_s += unpack_modeled;
@@ -455,7 +437,7 @@ void RowSwapperT<T>::scatter(device::Stream& stream, DistMatrixT<T>& a,
   }
 
   // Fence for the next cycle's prepare(): the unpack above — and the
-  // chunk unpacks communicate() enqueued on this stream — read
+  // U unpacks communicate() enqueued on this stream — read
   // gathered_u_ / disp_recv_ through pointers captured at enqueue time.
   scatter_done_ = stream.record();
   scatter_pending_ = true;

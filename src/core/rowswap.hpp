@@ -18,13 +18,12 @@
 /// There is one transport. Every wire segment (one rank's U rows, one
 /// destination's displaced rows) is an nr×njl column-major block packed by
 /// device::row_gather and unpacked by device::row_scatter with ld = nr.
-/// The U allgatherv runs chunked, and each landed chunk — a whole number
-/// of wire columns — is unpacked into U as it arrives, overlapping
-/// deserialization with the rest of the wire traffic.
+/// The U allgatherv is one blocking ring collective; once it returns, each
+/// non-empty rank segment is unpacked into U by one row_scatter.
 ///
-/// RowSwapperT is a template over the element type: all staging buffers,
-/// wire counts, grains and chunk offsets are sized in sizeof(T), so the
-/// fp32 (MxP) pipeline's swap traffic is exactly half the fp64 bytes.
+/// RowSwapperT is a template over the element type: all staging buffers
+/// and wire counts are sized in sizeof(T), so the fp32 (MxP) pipeline's
+/// swap traffic is exactly half the fp64 bytes.
 /// The *plan* (pure index math) is precision-independent and shared.
 
 #include <utility>
@@ -65,13 +64,12 @@ RowSwapPlan build_rowswap_plan(long j, int jb, const long* ipiv);
 /// slot and rebuilds it every iteration).
 void build_rowswap_plan(long j, int jb, const long* ipiv, RowSwapPlan& plan);
 
-/// Per-call timing of one communicate(): how long the U assembly spent on
-/// the wire and how much device unpack work was fused into the delivery
-/// (modeled seconds). The ratio min(unpack, wire)/wire is the overlap
-/// efficiency the report prints.
+/// Per-call accounting of one communicate(): wall seconds the U assembly
+/// spent on the wire, and the device work it enqueued. The two are on
+/// different clocks (measured vs modeled) and are never combined.
 struct RowSwapStats {
   double wire_s = 0.0;    ///< wall seconds inside the U-assembly collective
-  double unpack_s = 0.0;  ///< modeled device seconds of fused chunk unpacks
+  double unpack_s = 0.0;  ///< modeled device seconds of the U unpack kernels
   /// Bytes this window's swap collectives put on the wire (U-assembly
   /// allgatherv total + displaced scatterv). Stays zero on the no-pivot
   /// path — its U replication is a plain panel broadcast charged to comm
@@ -98,12 +96,9 @@ class RowSwapperT {
 
   /// Prepare for applying `plan` to local columns [jl0, jl0+njl) on this
   /// rank, whose grid row coordinate is `myrow`. njl may be 0; the rank
-  /// still participates in the collectives. `algo`/`threshold` select the
-  /// U-assembly communication pattern (HPL's SWAP input).
+  /// still participates in the collectives.
   void prepare(const RowSwapPlan& plan, const DistMatrixT<T>& a, int myrow,
-               long jl0, long njl,
-               RowSwapAlgo algo = RowSwapAlgo::SpreadRoll,
-               long threshold = 64);
+               long jl0, long njl);
 
   /// Stage 1: enqueue the device gathers (U source rows this rank owns,
   /// plus displaced top rows if this rank is in the diagonal process row)
@@ -112,12 +107,6 @@ class RowSwapperT {
   /// device work enqueued after the gather (trailing-update bands, other
   /// sections' scatters) never delays this section's communication hop.
   void gather(device::Stream& stream, DistMatrixT<T>& a);
-
-  /// Chunk size for the U-assembly allgatherv: chunks of at most this
-  /// many bytes, rounded to whole wire columns (0 = one chunk per rank
-  /// segment; must be >= 0). Any value gives bitwise-identical U. Call
-  /// once before the first prepare().
-  void set_chunk_bytes(long chunk_bytes) { chunk_bytes_ = chunk_bytes; }
 
   /// No-pivot mode (HplConfig::pivoting == PivotMode::None): the factored
   /// U *is* the top block — nothing was swapped, nothing is displaced. The
@@ -134,11 +123,12 @@ class RowSwapperT {
   /// pack). Adds the time spent inside communication calls to
   /// *mpi_seconds.
   ///
-  /// The U allgatherv runs chunked and the device unpack of each landed
-  /// chunk into `u_dev` (jb × njl, ld = ldu >= jb, pivot order) is
-  /// enqueued on `stream` immediately. `stream` must be the same stream
-  /// scatter() is called with (its fence covers these unpacks). `stats`,
-  /// when non-null, receives wire/unpack seconds for the overlap report.
+  /// After the U allgatherv returns, the device unpack of each rank's
+  /// segment into `u_dev` (jb × njl, ld = ldu >= jb, pivot order) is
+  /// enqueued on `stream`. `stream` must be the same stream scatter() is
+  /// called with (its fence covers these unpacks). `stats`, when
+  /// non-null, receives the wire seconds, modeled unpack seconds and wire
+  /// bytes.
   void communicate(comm::Communicator& col_comm, double* mpi_seconds,
                    device::Stream& stream, T* u_dev, long ldu,
                    RowSwapStats* stats = nullptr);
@@ -168,9 +158,7 @@ class RowSwapperT {
   int nprow_ = 0;
   int diag_root_ = 0;
   bool in_diag_row_ = false;
-  comm::AllgatherAlgo u_algo_ = comm::AllgatherAlgo::Ring;
-  bool nopiv_ = false;    ///< no-pivot mode: broadcast-only U replication
-  long chunk_bytes_ = 0;  ///< U allgatherv chunk (0 = one per segment)
+  bool nopiv_ = false;  ///< no-pivot mode: broadcast-only U replication
   /// The owning device's hazard tracker (null when checking is off);
   /// latched from the stream in gather().
   device::HazardTracker* hz_ = nullptr;

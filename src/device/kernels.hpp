@@ -95,9 +95,7 @@ void copy_matrix_d2h(Stream& s, long m, long n, const T* src, long lds,
 
 /// out(r, :) := a(rows[r], :) for r = 0..rows.size()-1, over n columns.
 /// With ldo = rows.size() the output is a dense nr×n column-major block:
-/// the row swap's wire format. Any sub-range of its columns can be
-/// unpacked on its own, which is what lets the chunked U allgatherv
-/// unpack each chunk as it lands.
+/// the row swap's wire format, unpacked by row_scatter with ldi = nr.
 template <typename T>
 void row_gather(Stream& s, const T* a, long lda, std::vector<long> rows,
                 long n, T* out, long ldo);

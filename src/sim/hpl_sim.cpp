@@ -48,12 +48,9 @@ class IterationModel {
                                      static_cast<std::size_t>(eb_));
   }
 
-  /// MPI time of the row-swap (allgatherv of U + scatterv of displaced
-  /// rows) over the process column, for `cols` local columns. The U
-  /// assembly pattern follows the SWAP selection: spread-roll rides the
-  /// ring (P-1 latency hops, bandwidth-optimal); binary exchange pays the
-  /// same bytes in log2(P) hops — the HPL "mix" switches to it for narrow
-  /// windows where latency dominates.
+  /// MPI time of the row-swap (ring allgatherv of U + scatterv of
+  /// displaced rows) over the process column, for `cols` local columns:
+  /// each leg pays P-1 latency hops and moves its bytes once.
   double rs_comm_seconds(double cols) const {
     if (cols <= 0 || cfg_.p == 1) return 0.0;
     const double bw =
@@ -62,47 +59,8 @@ class IterationModel {
         col_inter_ ? node_.net.inter_lat_s : node_.net.intra_lat_s;
     const double ubytes = static_cast<double>(cfg_.nb) * cols * eb_;
     const double frac = static_cast<double>(cfg_.p - 1) / cfg_.p;
-
-    const bool binexch =
-        cfg_.swap == core::RowSwapAlgo::BinaryExchange ||
-        (cfg_.swap == core::RowSwapAlgo::Mix &&
-         cols <= static_cast<double>(cfg_.swap_threshold));
-    const double hops = binexch ? std::ceil(std::log2(cfg_.p))
-                                : static_cast<double>(cfg_.p - 1);
-    const double allgather = hops * lat + ubytes * frac / bw;
-    const double scatter = (cfg_.p - 1) * lat + ubytes * frac / bw;
-    return allgather + scatter;
-  }
-
-  /// Seconds of the U-unpack leg that the pipelined broadcast hides
-  /// behind the allgather's own wire time. With swap_chunk_bytes > 0 each
-  /// delivered chunk's unpack is fused onto the stream while the ring
-  /// moves the next chunk, so the unpack overlaps the wire up to
-  /// min(unpack, wire) — minus the extra per-chunk message latency the
-  /// finer-grained ring pays beyond its P-1 baseline hops. Binary
-  /// exchange (and "mix" below the threshold) falls back to the blocking
-  /// collective and earns no credit. The credit shortens the critical
-  /// path only; device busy time is unchanged (overlapped, not removed).
-  double rs_pipeline_credit_seconds(double cols) const {
-    if (cfg_.swap_chunk_bytes <= 0 || cols <= 0 || cfg_.p == 1) return 0.0;
-    const bool binexch =
-        cfg_.swap == core::RowSwapAlgo::BinaryExchange ||
-        (cfg_.swap == core::RowSwapAlgo::Mix &&
-         cols <= static_cast<double>(cfg_.swap_threshold));
-    if (binexch) return 0.0;
-    const double bw =
-        (col_inter_ ? node_.net.inter_bw_gbs : node_.net.intra_bw_gbs) * 1e9;
-    const double lat =
-        col_inter_ ? node_.net.inter_lat_s : node_.net.intra_lat_s;
-    const double ubytes = static_cast<double>(cfg_.nb) * cols * eb_;
-    const double frac = static_cast<double>(cfg_.p - 1) / cfg_.p;
-    const double wire = (cfg_.p - 1) * lat + ubytes * frac / bw;
-    const double chunks =
-        std::ceil(ubytes * frac / static_cast<double>(cfg_.swap_chunk_bytes));
-    const double extra_lat =
-        std::max(0.0, chunks - static_cast<double>(cfg_.p - 1)) * lat;
-    const double unpack = rs_device_seconds(cols);
-    return std::max(0.0, std::min(unpack, wire) - extra_lat);
+    const double leg = (cfg_.p - 1) * lat + ubytes * frac / bw;
+    return 2.0 * leg;
   }
 
   /// FACT on the CPU: compute + the per-column pivot collectives.
@@ -163,20 +121,17 @@ constexpr const char* kXfer = "XFER";
 
 /// One iteration's modeled schedule, laid down bar by bar. Each drawn bar
 /// folds into the record as it is placed: the MPI, CPU and XFER lanes sum
-/// into mpi_s, fact_s and transfer_s, the GPU lane's uncredited lengths
-/// into gpu_s, and total_s is max(span, gpu_s) — overlapped unpacks still
-/// occupy the device. The record is thereby the fold of its own timeline.
+/// into mpi_s, fact_s and transfer_s, the GPU lane into gpu_s, and
+/// total_s is max(span, gpu_s). The record is thereby the fold of its own
+/// timeline.
 class Schedule {
  public:
   explicit Schedule(std::vector<TimelineEvent>* events) : events_(events) {}
 
-  /// Place a `dur`-second bar on `lane` at `start`, of which the last
-  /// `hidden` seconds overlap a comm window (the pipelined-unpack credit)
-  /// and leave the critical path. Returns the bar's end; empty bars are
-  /// not drawn.
-  double bar(const char* lane, const char* label, double start, double dur,
-             double hidden = 0.0) {
-    const double end = start + dur - hidden;
+  /// Place a `dur`-second bar on `lane` at `start`. Returns the bar's
+  /// end; empty bars are not drawn.
+  double bar(const char* lane, const char* label, double start, double dur) {
+    const double end = start + dur;
     if (end <= start) return end;
     span_ = std::max(span_, end);
     if (lane == kGpu) rec_.gpu_s += dur;
@@ -184,7 +139,7 @@ class Schedule {
     if (lane == kMpi) rec_.mpi_s += dur;
     if (lane == kXfer) rec_.transfer_s += dur;
     if (events_ != nullptr)
-      events_->push_back(TimelineEvent{lane, label, start, end, hidden});
+      events_->push_back(TimelineEvent{lane, label, start, end});
     return end;
   }
 
@@ -201,9 +156,8 @@ class Schedule {
 };
 
 /// The one composition of each pipeline shape. Prices iteration `iter`'s
-/// geometry, durations and pipelined-unpack credits, lays its bars on a
-/// Schedule and returns the folded record; `events`, when non-null,
-/// receives the bars.
+/// geometry and durations, lays its bars on a Schedule and returns the
+/// folded record; `events`, when non-null, receives the bars.
 trace::IterationRecord build_iteration(const IterationModel& m,
                                        const ClusterConfig& cfg, int iter,
                                        std::vector<TimelineEvent>* events) {
@@ -269,64 +223,33 @@ trace::IterationRecord build_iteration(const IterationModel& m,
     const double rs1_comm = m.rs_comm_seconds(left);
     const double rs2_comm = m.rs_comm_seconds(right);
 
-    // Lay the shape (in the driver's enqueue order) with the given
-    // credits and report the moments that bound them.
-    struct Moments {
-      double gpu_pre, la_comm_end, gather_next_done, rs1_done, gpu_end,
-          rs2_done;
-    };
-    auto lay = [&](Schedule& out, double cr_la, double cr_left,
-                   double cr_right) {
-      Moments t{};
-      t.gpu_pre = out.bar(kGpu, "gather LA+left / scatter RS2", 0.0,
-                          d_gathers + d_scatter_right, cr_right);
-      t.la_comm_end =
-          out.bar(kMpi, "RS(look-ahead) comm", d_gathers, la_comm);
-      const double la_done =
-          out.bar(kGpu, "UPDATE(look-ahead)",
-                  std::max(t.gpu_pre, d_gathers + la_comm), d_la, cr_la);
-      const double fact_done = host_chain(out, la_done);
-      const double up2_done = out.bar(kGpu, "UPDATE2 (right)", la_done, d_up2);
-      t.rs1_done = out.bar(kMpi, "RS1 (left) comm", fact_done, rs1_comm);
-      t.gather_next_done =
-          out.bar(kGpu, "gather RS2(next)", std::max(up2_done, fact_done),
-                  d_gather_next);
-      t.gpu_end = out.bar(kGpu, "UPDATE1 (left)",
-                          std::max(t.gather_next_done, t.rs1_done), d_up1,
-                          cr_left);
-      t.rs2_done =
-          out.bar(kMpi, "RS2(next) comm", t.gather_next_done, rs2_comm);
-      return t;
-    };
-
-    // Each section's fused chunk unpacks run inside its own comm window,
-    // but only shorten the path where that window is exposed in the
-    // uncredited schedule — the device must be idle while the chunks
-    // arrive. The right section's unpack sits in the opening GPU bar,
-    // overlapping the previous iteration's RS2 wire tail (same shape at
-    // fixed geometry).
-    Schedule dry(nullptr);
-    const Moments t0 = lay(dry, 0.0, 0.0, 0.0);
-    lay(s,
-        std::min(m.rs_pipeline_credit_seconds(la),
-                 std::max(0.0, t0.la_comm_end - t0.gpu_pre)),
-        std::min(m.rs_pipeline_credit_seconds(left),
-                 std::max(0.0, t0.rs1_done - t0.gather_next_done)),
-        std::min(m.rs_pipeline_credit_seconds(right),
-                 std::max(0.0, t0.rs2_done - t0.gpu_end)));
+    // Lay the shape in the driver's enqueue order.
+    const double gpu_pre = s.bar(kGpu, "gather LA+left / scatter RS2", 0.0,
+                                 d_gathers + d_scatter_right);
+    s.bar(kMpi, "RS(look-ahead) comm", d_gathers, la_comm);
+    const double la_done =
+        s.bar(kGpu, "UPDATE(look-ahead)",
+              std::max(gpu_pre, d_gathers + la_comm), d_la);
+    const double fact_done = host_chain(s, la_done);
+    const double up2_done = s.bar(kGpu, "UPDATE2 (right)", la_done, d_up2);
+    const double rs1_done =
+        s.bar(kMpi, "RS1 (left) comm", fact_done, rs1_comm);
+    const double gather_next_done =
+        s.bar(kGpu, "gather RS2(next)", std::max(up2_done, fact_done),
+              d_gather_next);
+    s.bar(kGpu, "UPDATE1 (left)", std::max(gather_next_done, rs1_done),
+          d_up1);
+    s.bar(kMpi, "RS2(next) comm", gather_next_done, rs2_comm);
   } else {
     // Simple and Fig. 3 share the exposed whole-window row swap: gather,
-    // comm, then scatter + U assembly. The fused chunk unpacks shorten the
-    // last leg; the comm window is fully exposed, so the credit applies
-    // whole.
+    // comm, then scatter + U assembly.
     const bool simple = cfg.pipeline == core::PipelineMode::Simple;
     const double d_gather = m.rs_device_seconds(nloc);
     // Simple runs every phase on the critical path, the host chain first.
     double t = simple ? host_chain(s, 0.0) : 0.0;
     t = s.bar(kGpu, simple ? "RS gather" : "RS gather/scatter", t, d_gather);
     t = s.bar(kMpi, "RS comm", t, m.rs_comm_seconds(nloc));
-    t = s.bar(kGpu, "RS scatter + U", t, 2.0 * d_gather,
-              m.rs_pipeline_credit_seconds(nloc));
+    t = s.bar(kGpu, "RS scatter + U", t, 2.0 * d_gather);
     if (simple) {
       s.bar(kGpu, "UPDATE", t, m.update_seconds(m_tail, nloc));
     } else {

@@ -9,7 +9,7 @@
 /// the iteration's bars on a timeline: iteration_timeline returns those
 /// bars, and simulate_hpl keeps only each iteration's record, which is the
 /// fold of its bars (mpi_s, fact_s and transfer_s sum the MPI, CPU and
-/// XFER lanes, gpu_s the GPU lane's uncredited busy time, and total_s is
+/// XFER lanes, gpu_s the GPU lane's busy time, and total_s is
 /// max(span, gpu_s)). The records have the real driver's trace layout
 /// (total, GPU-active, FACT, MPI, transfer), which is how Figs. 7 and 8
 /// are regenerated.
@@ -40,12 +40,6 @@ struct ClusterConfig {
   double split_fraction = 0.5;
   core::PipelineMode pipeline = core::PipelineMode::LookaheadSplit;
   int fact_threads = 15;  ///< T per FACT (from the core-sharing plan)
-  core::RowSwapAlgo swap = core::RowSwapAlgo::SpreadRoll;
-  long swap_threshold = 64;  ///< columns; for RowSwapAlgo::Mix
-  /// Pipelined U assembly: > 0 models the chunked allgatherv with fused
-  /// unpack-on-delivery at this chunk size (bytes); <= 0 models the
-  /// blocking gather-then-unpack baseline.
-  long swap_chunk_bytes = 0;
   /// Working precision of the modeled run. mxp32 stores, moves and swaps
   /// 4-byte elements and bills device kernels at the fp32 curve;
   /// mxp16-sim moves the same 4-byte elements but bills compute at the
@@ -79,10 +73,6 @@ struct TimelineEvent {
   std::string label;
   double start = 0.0;      ///< seconds from iteration start
   double end = 0.0;
-  /// Device seconds of the bar's work that overlap a comm window (the
-  /// pipelined-unpack credit) and so are not drawn: the bar's busy time
-  /// is end - start + hidden.
-  double hidden = 0.0;
 };
 
 /// The modeled schedule of one iteration — the data behind the paper's

@@ -27,7 +27,7 @@ struct IterationRecord {
   double mpi_s = 0.0;      ///< time in communication calls
   double transfer_s = 0.0; ///< host<->device transfer wait time
   double rs_wire_s = 0.0;  ///< row-swap U-assembly wall time on the wire
-  double rs_unpack_s = 0.0;  ///< modeled seconds of fused chunk unpacks
+  double rs_unpack_s = 0.0;  ///< modeled device seconds of the U unpack kernels
 
   /// Streams in the trailing-update pool this iteration ran with; entries
   /// [0, update_streams) of the arrays below are meaningful.

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <string>
 #include <utility>
 
 #include "comm/world.hpp"
@@ -93,6 +95,26 @@ TEST(AllocSolve, SteadyStateZeroAllocsLateFirstPanelOwner) {
   // after one full rotation), not as a steady-state allocation.
   HplConfig cfg = base_cfg(768, 64, 1, 4);
   expect_zero_steady_allocs(run(cfg), "fp64 1x4 rotation");
+}
+
+TEST(AllocSolve, SteadyStateZeroAllocsBenchmarkGridShape) {
+  // The benchmark's 2x2 workload (default FACT recursion, one thread
+  // each) at half its N: NB=128 makes each U segment up to nb x nloc
+  // doubles (~1 MiB), far above the small grid cases above, so the comm
+  // pool's top classes are the swap messages themselves.
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    HplConfig cfg;
+    cfg.n = 2048;
+    cfg.nb = 128;
+    cfg.p = 2;
+    cfg.q = 2;
+    cfg.seed = seed;
+    cfg.pipeline = PipelineMode::LookaheadSplit;
+    cfg.fact_threads = 1;
+    cfg.blas_threads = 1;
+    const std::string what = "2x2 N=2048 NB=128 seed " + std::to_string(seed);
+    expect_zero_steady_allocs(run(cfg), what.c_str());
+  }
 }
 
 TEST(AllocSolve, ShortRunIsAllWarmup) {

@@ -7,9 +7,9 @@
 /// run stays numerically correct and race-free) but hides the
 /// happens-before edge from the tracker — exactly what the code would
 /// look like had the fence been forgotten — and the checker must report
-/// it: the per-chunk U unpacks and the displaced-row unpack ride the same
-/// fence. The negative half sweeps the real schedules (streams × bands ×
-/// pipelines × chunk sizes) and demands zero violations: the fences the
+/// it: the U unpacks and the displaced-row unpack ride the same fence.
+/// The negative half sweeps the real schedules (streams × bands ×
+/// pipelines) and demands zero violations: the fences the
 /// driver actually places are sufficient, with no false positives from
 /// the conservative span envelopes.
 
@@ -54,18 +54,17 @@ HplResult run(const HplConfig& cfg) {
 constexpr int kHostDevice =
     static_cast<int>(device::HazardTracker::Kind::HostDevice);
 
-TEST(HazardSolve, MissingChunkFenceIsReported) {
+TEST(HazardSolve, MissingScatterFenceIsReported) {
   // P=1 so every rank owns all the rows it swaps: the pack-side ordering
   // (gather_done) keeps the communicate-stage guard silent, making the
   // prepare-stage rewrite of the staging buffers the one deterministic
   // detection point. With the fence hidden, the rank whose look-ahead
   // window is empty reaches prepare() before the host ever joined the
-  // previous iteration's unpacks — the per-chunk U unpacks enqueued
-  // inside the chunked allgatherv and the displaced-row unpack, all
-  // row_scatter kernels. Small chunks so each window unpacks in pieces.
+  // previous iteration's unpacks — the U unpacks communicate() enqueued
+  // after the allgatherv and the displaced-row unpack, all row_scatter
+  // kernels.
   HplConfig cfg = base_cfg(96, 16, 1, 2);
   cfg.pipeline = PipelineMode::Lookahead;
-  cfg.swap_chunk_bytes = 4096;
 
   HplResult bad;
   {
@@ -132,22 +131,18 @@ TEST_P(HazardSweep, FencedSchedulesAreViolationFree) {
   const auto [p, q, mode] = GetParam();
   for (int streams : {1, 2, 4}) {
     for (long band : {0L, 8L}) {
-      for (long chunk : {4096L, 256L * 1024L}) {
-        HplConfig cfg = base_cfg(96, 16, p, q);
-        cfg.pipeline = mode;
-        cfg.update_streams = streams;
-        cfg.update_band_cols = band;
-        cfg.swap_chunk_bytes = chunk;
-        const HplResult r = run(cfg);
-        EXPECT_TRUE(r.verify.passed)
-            << "streams=" << streams << " band=" << band << " chunk=" << chunk;
-        ASSERT_TRUE(r.hazard_checked);
-        EXPECT_TRUE(r.hazards.empty())
-            << "streams=" << streams << " band=" << band << " chunk=" << chunk
-            << ": " << r.hazards.size() << " records, e.g. "
-            << r.hazards.front().op_a << " vs " << r.hazards.front().op_b
-            << ": " << r.hazards.front().detail;
-      }
+      HplConfig cfg = base_cfg(96, 16, p, q);
+      cfg.pipeline = mode;
+      cfg.update_streams = streams;
+      cfg.update_band_cols = band;
+      const HplResult r = run(cfg);
+      EXPECT_TRUE(r.verify.passed) << "streams=" << streams << " band=" << band;
+      ASSERT_TRUE(r.hazard_checked);
+      EXPECT_TRUE(r.hazards.empty())
+          << "streams=" << streams << " band=" << band << ": "
+          << r.hazards.size() << " records, e.g. " << r.hazards.front().op_a
+          << " vs " << r.hazards.front().op_b << ": "
+          << r.hazards.front().detail;
     }
   }
 }

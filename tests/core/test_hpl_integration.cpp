@@ -156,7 +156,6 @@ TEST(HplSolve, BadKnobsAreRejectedOnEveryRank) {
       {"ir_tol",
        [](HplConfig& c) { c.ir_tol = std::numeric_limits<double>::infinity(); },
        "inf"},
-      {"swap_chunk_bytes", [](HplConfig& c) { c.swap_chunk_bytes = 0; }, "0"},
   };
   for (const Bad& bad : bads) {
     HplConfig cfg = base_cfg(64, 16, 2, 2);
@@ -200,30 +199,35 @@ TEST(HplSolve, BcastVariantsStayCorrect) {
   }
 }
 
-TEST(HplSolve, RowSwapAlgosStayCorrectAndAgree) {
-  // Power-of-two P so binary exchange takes its dedicated path; all three
-  // SWAP selections move identical data and must agree bitwise.
+TEST(HplSolve, RowSwapOnFourRankColumnAgreesAcrossModes) {
+  // Four process rows: every U assembly is a three-hop ring, and the
+  // displaced-row scatterv reaches three other ranks. Each pipeline mode
+  // moves the same rows to the same places and must agree bitwise.
   std::vector<double> residuals;
-  for (RowSwapAlgo algo : {RowSwapAlgo::SpreadRoll,
-                           RowSwapAlgo::BinaryExchange, RowSwapAlgo::Mix}) {
+  for (PipelineMode mode : {PipelineMode::Simple, PipelineMode::Lookahead,
+                            PipelineMode::LookaheadSplit}) {
     HplConfig cfg = base_cfg(128, 16, 4, 1);
-    cfg.swap = algo;
-    cfg.swap_threshold = 40;
+    cfg.pipeline = mode;
     const HplResult r = run(cfg);
-    EXPECT_TRUE(r.verify.passed) << to_string(algo);
+    EXPECT_TRUE(r.verify.passed) << to_string(mode);
     residuals.push_back(r.verify.residual);
   }
   EXPECT_EQ(residuals[0], residuals[1]);
   EXPECT_EQ(residuals[0], residuals[2]);
 }
 
-TEST(HplSolve, BinaryExchangeOnOddColumnFallsBack) {
-  // P = 3 is not a power of two: the recursive-doubling request must fall
-  // back to the ring transparently and stay correct.
-  HplConfig cfg = base_cfg(96, 16, 3, 1);
-  cfg.swap = RowSwapAlgo::BinaryExchange;
-  const HplResult r = run(cfg);
-  EXPECT_TRUE(r.verify.passed);
+TEST(HplSolve, RowSwapOnOddColumnStaysCorrect) {
+  // P = 3 is not a power of two and N / NB = 6 rows of blocks fall
+  // unevenly on it late in the run: the ring U assembly must stay correct
+  // in every mode.
+  for (PipelineMode mode : {PipelineMode::Simple, PipelineMode::Lookahead,
+                            PipelineMode::LookaheadSplit}) {
+    HplConfig cfg = base_cfg(96, 16, 3, 1);
+    cfg.pipeline = mode;
+    const HplResult r = run(cfg);
+    EXPECT_TRUE(r.verify.passed)
+        << to_string(mode) << " residual=" << r.verify.residual;
+  }
 }
 
 TEST(HplSolve, FactVariantsStayCorrect) {

@@ -65,8 +65,8 @@ TEST(HplDat, ParsesTheCanonicalNetlibFile) {
   ASSERT_EQ(dat.bcasts.size(), 2u);
   EXPECT_EQ(dat.bcasts[0], comm::BcastAlgo::Ring1Mod);
   EXPECT_EQ(dat.bcasts[1], comm::BcastAlgo::Ring2Mod);
-  EXPECT_EQ(dat.base.swap, RowSwapAlgo::SpreadRoll);
-  EXPECT_EQ(dat.base.swap_threshold, 64);
+  EXPECT_EQ(dat.swap, 1);
+  EXPECT_EQ(dat.swap_threshold, 64);
   EXPECT_TRUE(dat.l1_transposed);
   EXPECT_TRUE(dat.equilibration);
   EXPECT_EQ(dat.alignment, 8);
@@ -168,7 +168,8 @@ TEST(HplDat, RoundTripsThroughFormat) {
   EXPECT_EQ(again.rfacts, dat.rfacts);
   EXPECT_EQ(again.bcasts, dat.bcasts);
   EXPECT_EQ(again.depths, dat.depths);
-  EXPECT_EQ(again.base.swap, dat.base.swap);
+  EXPECT_EQ(again.swap, dat.swap);
+  EXPECT_EQ(again.swap_threshold, dat.swap_threshold);
   EXPECT_DOUBLE_EQ(again.threshold, dat.threshold);
 }
 
@@ -185,7 +186,7 @@ const char kAllExtensions[] =
     "48           update band cols\n"
     "1            hazard check\n"
     "1            swap wire format\n"
-    "131072       swap chunk bytes\n"
+    "262144       swap chunk bytes\n"
     "mxp32        precision\n"
     "12           IR max iters\n"
     "8.0          IR tolerance\n"
@@ -208,9 +209,6 @@ void expect_same_config(const HplConfig& a, const HplConfig& b) {
   EXPECT_EQ(a.pipeline, b.pipeline);
   EXPECT_DOUBLE_EQ(a.split_fraction, b.split_fraction);
   EXPECT_EQ(a.bcast, b.bcast);
-  EXPECT_EQ(a.swap, b.swap);
-  EXPECT_EQ(a.swap_threshold, b.swap_threshold);
-  EXPECT_EQ(a.swap_chunk_bytes, b.swap_chunk_bytes);
   EXPECT_EQ(a.pivoting, b.pivoting);
   EXPECT_EQ(a.nrhs, b.nrhs);
   EXPECT_EQ(a.diag_dominant, b.diag_dominant);
@@ -241,7 +239,6 @@ TEST(HplDat, ParsesEveryExtensionKnob) {
   EXPECT_EQ(c.update_streams, 3);
   EXPECT_EQ(c.update_band_cols, 48);
   EXPECT_TRUE(c.hazard_check);
-  EXPECT_EQ(c.swap_chunk_bytes, 131072);
   EXPECT_EQ(c.precision, PrecisionMode::MXP32);
   EXPECT_EQ(c.ir_max_iters, 12);
   EXPECT_DOUBLE_EQ(c.ir_tol, 8.0);
@@ -263,6 +260,8 @@ TEST(HplDat, EveryKnobRoundTripsThroughFormat) {
   EXPECT_EQ(again.ps, dat.ps);
   EXPECT_EQ(again.qs, dat.qs);
   EXPECT_DOUBLE_EQ(again.threshold, dat.threshold);
+  EXPECT_EQ(again.swap, dat.swap);
+  EXPECT_EQ(again.swap_threshold, dat.swap_threshold);
   EXPECT_EQ(again.pfacts, dat.pfacts);
   EXPECT_EQ(again.nbmins, dat.nbmins);
   EXPECT_EQ(again.ndivs, dat.ndivs);
@@ -306,7 +305,7 @@ TEST(HplDat, PrecisionExpandsIntoConfigs) {
 
 TEST(HplDat, RemovedSwapChoicesThrow) {
   // Both lines stay in the positional format, but only wire format 1
-  // (col-major) and chunk sizes >= 1 parse.
+  // (col-major) and the 262144-byte chunk line parse.
   std::string wire = std::string(kClassic) + kAllExtensions;
   const auto wpos = wire.find("1            swap wire format");
   ASSERT_NE(wpos, std::string::npos);
@@ -315,7 +314,7 @@ TEST(HplDat, RemovedSwapChoicesThrow) {
 
   for (const char* bad : {"-1    ", "0     "}) {
     std::string chunk = std::string(kClassic) + kAllExtensions;
-    const auto cpos = chunk.find("131072       swap chunk bytes");
+    const auto cpos = chunk.find("262144       swap chunk bytes");
     ASSERT_NE(cpos, std::string::npos);
     chunk.replace(cpos, 6, bad);
     EXPECT_THROW(parse_hpldat_string(chunk), Error) << bad;
@@ -327,8 +326,8 @@ TEST(HplDat, FormatWritesRetiredLinesAtTheirValues) {
   const std::string out = format_hpldat(dat);
   for (const char* line :
        {"32768  eager threshold bytes", "256  swap tile cols",
-        "\n0  kernel threads", "1  swap wire format", "1  alloc pool",
-        "-1  alloc cache bytes"})
+        "\n0  kernel threads", "1  swap wire format",
+        "262144  swap chunk bytes", "1  alloc pool", "-1  alloc cache bytes"})
     EXPECT_NE(out.find(line), std::string::npos) << line;
   // ...so the formatter's output parses again.
   EXPECT_EQ(expand_configs(parse_hpldat_string(out)).size(),
@@ -390,27 +389,113 @@ const char kOldFormatDefaults[] =
     "-1  alloc cache bytes (hplx extension, <0=unbounded)\n"
     "0  comm check (hplx extension, 0=off,1=on)\n";
 
+// What format_hpldat wrote, while SWAP, the swapping threshold and the
+// swap chunk bytes were still HplConfig knobs, for the same sweep at
+// default settings.
+const char kSwapKnobFormatDefaults[] =
+    "HPLinpack benchmark input file\n"
+    "hplx reproduction of rocHPL (SC 2023)\n"
+    "HPL.out  output file name (if any)\n"
+    "6  device out (6=stdout,7=stderr,file)\n"
+    "1  # of problems sizes (N)\n"
+    "96  Ns\n"
+    "2  # of NBs\n"
+    "16 32  NBs\n"
+    "1  PMAP process mapping (0=Row-,1=Column-major)\n"
+    "2  # of process grids (P x Q)\n"
+    "2 1  Ps\n"
+    "2 4  Qs\n"
+    "16  threshold\n"
+    "1  # of panel fact\n"
+    "2  PFACTs (0=left, 1=Crout, 2=Right, 3=recursive)\n"
+    "1  # of recursive stopping criterium\n"
+    "8  NBMINs (>= 1)\n"
+    "1  # of panels in recursion\n"
+    "2  NDIVs\n"
+    "1  # of recursive panel fact.\n"
+    "3  RFACTs (0=left, 1=Crout, 2=Right, 3=recursive)\n"
+    "2  # of lookahead depth\n"
+    "0 1  DEPTHs (>=0)\n"
+    "1  # of broadcast\n"
+    "1  BCASTs (0=1rg,1=1rM,2=2rg,3=2rM,4=Lng,5=LnM)\n"
+    "1  SWAP (0=bin-exch,1=long,2=mix)\n"
+    "64  swapping threshold\n"
+    "0  L1 in (0=transposed,1=no) form\n"
+    "0  U  in (0=transposed,1=no) form\n"
+    "1  Equilibration (0=no,1=yes)\n"
+    "8  memory alignment in double (> 0)\n"
+    "0.5  split fraction (rocHPL extension)\n"
+    "1  FACT threads (rocHPL extension)\n"
+    "0  BLAS threads (hplx extension, 0=inherit)\n"
+    "32768  eager threshold bytes (retired, must be 32768)\n"
+    "256  swap tile cols (retired, must be 256)\n"
+    "0  kernel threads (retired, must be 0)\n"
+    "1  update streams (hplx extension, 1-8)\n"
+    "0  update band cols (hplx extension, 0=even split)\n"
+    "0  hazard check (hplx extension, 0=off,1=on)\n"
+    "1  swap wire format (retired, must be 1)\n"
+    "262144  swap chunk bytes (hplx extension, >=1)\n"
+    "fp64  precision (hplx extension, fp64|mxp32|mxp16-sim)\n"
+    "30  IR max iters (hplx extension, mxp modes)\n"
+    "16  IR tolerance (hplx extension, scaled residual)\n"
+    "0  pivoting (hplx extension, 0=full,1=none)\n"
+    "0  diag dominant (hplx extension, 0=no,1=yes)\n"
+    "1  RHS count (hplx extension, >=1)\n"
+    "1  alloc pool (retired, must be 1)\n"
+    "-1  alloc cache bytes (retired, must be -1)\n"
+    "0  comm check (hplx extension, 0=off,1=on)\n";
+
 TEST(HplDat, OldFormatWithDefaultExtensionsParsesToTheSameConfigs) {
-  // The same sweep with every extension line absent (all defaults).
-  std::string classic_only = kOldFormatDefaults;
-  classic_only.resize(classic_only.find("0.5  split fraction"));
-  const auto want = expand_configs(parse_hpldat_string(classic_only));
-  const auto got = expand_configs(parse_hpldat_string(kOldFormatDefaults));
-  ASSERT_EQ(got.size(), 8u);  // 2 grids x 2 NBs x 2 depths
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    SCOPED_TRACE(i);
-    expect_same_config(got[i], want[i]);
+  for (const char* old : {kOldFormatDefaults, kSwapKnobFormatDefaults}) {
+    // The same sweep with every extension line absent (all defaults).
+    std::string classic_only = old;
+    classic_only.resize(classic_only.find("0.5  split fraction"));
+    const auto want = expand_configs(parse_hpldat_string(classic_only));
+    const auto got = expand_configs(parse_hpldat_string(old));
+    ASSERT_EQ(got.size(), 8u);  // 2 grids x 2 NBs x 2 depths
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      SCOPED_TRACE(i);
+      expect_same_config(got[i], want[i]);
+    }
+    const HplConfig& c = got.front();
+    EXPECT_FALSE(c.row_major_grid);
+    EXPECT_EQ(c.fact, FactVariant::RecursiveRight);
+    EXPECT_EQ(c.rfact_base, FactVariant::Right);
+    EXPECT_EQ(c.rfact_nbmin, 8);
+    EXPECT_EQ(c.pipeline, PipelineMode::Simple);
+    EXPECT_EQ(got[1].pipeline, PipelineMode::LookaheadSplit);
   }
-  const HplConfig& c = got.front();
-  EXPECT_FALSE(c.row_major_grid);
-  EXPECT_EQ(c.swap, RowSwapAlgo::Mix);
-  EXPECT_EQ(c.swap_chunk_bytes, 256 * 1024);
-  EXPECT_EQ(c.fact, FactVariant::RecursiveRight);
-  EXPECT_EQ(c.rfact_base, FactVariant::Right);
-  EXPECT_EQ(c.rfact_nbmin, 8);
-  EXPECT_EQ(c.pipeline, PipelineMode::Simple);
-  EXPECT_EQ(got[1].pipeline, PipelineMode::LookaheadSplit);
+  EXPECT_EQ(parse_hpldat_string(kOldFormatDefaults).swap, 2);
+  EXPECT_EQ(parse_hpldat_string(kSwapKnobFormatDefaults).swap, 1);
+}
+
+TEST(HplDat, SwapCodesExpandToIdenticalConfigs) {
+  // SWAP and the swapping threshold are parsed, range-checked and written
+  // back, but every code runs the same row swap.
+  const auto with_swap = [](const char* code, const char* threshold) {
+    std::string text = kClassic;
+    text.replace(text.find("1            SWAP"), 1, code);
+    text.replace(text.find("64           swapping"), 2, threshold);
+    return text;
+  };
+  const auto want = expand_configs(parse_hpldat_string(kClassic));
+  for (const char* code : {"0", "1", "2"}) {
+    const HplDat dat = parse_hpldat_string(with_swap(code, "40"));
+    EXPECT_EQ(dat.swap, code[0] - '0');
+    EXPECT_EQ(dat.swap_threshold, 40);
+    const HplDat again = parse_hpldat_string(format_hpldat(dat));
+    EXPECT_EQ(again.swap, dat.swap);
+    EXPECT_EQ(again.swap_threshold, 40);
+    const auto got = expand_configs(dat);
+    ASSERT_EQ(got.size(), want.size()) << "SWAP " << code;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      SCOPED_TRACE(i);
+      expect_same_config(got[i], want[i]);
+    }
+  }
+  for (const char* bad : {"3", "x"})
+    EXPECT_THROW(parse_hpldat_string(with_swap(bad, "64")), Error) << bad;
 }
 
 TEST(HplDat, RetiredLineWithAnotherValueThrowsNamingTheLine) {
@@ -424,6 +509,7 @@ TEST(HplDat, RetiredLineWithAnotherValueThrowsNamingTheLine) {
       {"256          swap tile cols", "0  ", "swap tile cols"},
       {"0            kernel threads", "2", "kernel threads"},
       {"1            swap wire format", "0", "swap wire format"},
+      {"262144       swap chunk bytes", "131072", "swap chunk bytes"},
       {"1            alloc pool", "0", "alloc pool"},
       {"-1           alloc cache bytes", "1048576", "alloc cache bytes"},
   };

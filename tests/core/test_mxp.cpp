@@ -1,12 +1,12 @@
 /// Mixed-precision (HPL-MxP) mode: the fp32 factorization plus fp64
 /// iterative refinement must reach the same residual criterion as the
-/// fp64 solve, deterministically, across grids, pipelines, stream counts
-/// and swap chunkings — and fall back to fp64 when refinement cannot
-/// converge.
+/// fp64 solve, deterministically, across grids, pipelines and stream
+/// counts — and fall back to fp64 when refinement cannot converge.
 
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "comm/world.hpp"
@@ -108,17 +108,14 @@ TEST(Mxp, ZeroCorrectionBudgetFallsBackToFp64) {
 TEST(Mxp, BitwiseIdenticalAcrossExecutionKnobs) {
   std::vector<double> residuals;
   std::vector<int> iters;
-  for (const auto& [threads, streams, chunk] :
-       {std::tuple<int, int, long>{1, 1, 256 * 1024},
-        std::tuple<int, int, long>{4, 1, 256 * 1024},
-        std::tuple<int, int, long>{1, 3, 256 * 1024},
-        std::tuple<int, int, long>{4, 3, 4096},
-        std::tuple<int, int, long>{2, 2, 1024}}) {
+  for (const auto& [threads, streams] :
+       {std::pair<int, int>{1, 1}, std::pair<int, int>{4, 1},
+        std::pair<int, int>{1, 3}, std::pair<int, int>{4, 3},
+        std::pair<int, int>{2, 2}}) {
     HplConfig cfg = base_cfg(128, 16, 2, 2);
     cfg.pipeline = PipelineMode::LookaheadSplit;
     cfg.blas_threads = threads;
     cfg.update_streams = streams;
-    cfg.swap_chunk_bytes = chunk;
     const HplResult r = run(cfg);
     EXPECT_TRUE(r.verify.passed);
     residuals.push_back(r.verify.residual);
@@ -150,25 +147,22 @@ TEST(Mxp, PipelineModesAgreeBitwise) {
 // Hazard-checker sweep over the mxp32 pipeline: the fp32 data path
 // (half-width staging, refinement's device solves included) must introduce
 // no new unfenced host/device overlap anywhere in
-// pipeline × streams × chunking.
+// pipeline × streams.
 TEST(Mxp, HazardSweepIsClean) {
   for (PipelineMode mode : {PipelineMode::Simple, PipelineMode::Lookahead,
                             PipelineMode::LookaheadSplit}) {
     for (int streams : {1, 3}) {
-      for (long chunk : {long{1024}, long{4096}, long{256 * 1024}}) {
-        HplConfig cfg = base_cfg(96, 16, 2, 2);
-        cfg.pipeline = mode;
-        cfg.update_streams = streams;
-        cfg.swap_chunk_bytes = chunk;
-        cfg.hazard_check = true;
-        const HplResult r = run(cfg);
-        EXPECT_TRUE(r.hazard_checked);
-        EXPECT_TRUE(r.hazards.empty())
-            << r.hazards.size() << " hazard(s) in mode=" << to_string(mode)
-            << " streams=" << streams << " chunk=" << chunk << ": "
-            << (r.hazards.empty() ? "" : r.hazards.front().detail);
-        EXPECT_TRUE(r.verify.passed);
-      }
+      HplConfig cfg = base_cfg(96, 16, 2, 2);
+      cfg.pipeline = mode;
+      cfg.update_streams = streams;
+      cfg.hazard_check = true;
+      const HplResult r = run(cfg);
+      EXPECT_TRUE(r.hazard_checked);
+      EXPECT_TRUE(r.hazards.empty())
+          << r.hazards.size() << " hazard(s) in mode=" << to_string(mode)
+          << " streams=" << streams << ": "
+          << (r.hazards.empty() ? "" : r.hazards.front().detail);
+      EXPECT_TRUE(r.verify.passed);
     }
   }
 }

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "comm/world.hpp"
@@ -135,7 +136,7 @@ TEST(Variants, FullPivotingSolvesDominantSystems) {
 }
 
 // The execution knobs that only re-partition work (BLAS thread lease,
-// update-stream pool, swap chunking) must not move a single bit of the
+// update-stream pool) must not move a single bit of the
 // solution — for the no-pivot path and the multi-RHS backsolve exactly as
 // PR 6 established for the pivoted single-RHS solve.
 TEST(Variants, BitwiseIdenticalAcrossExecutionKnobs) {
@@ -147,11 +148,9 @@ TEST(Variants, BitwiseIdenticalAcrossExecutionKnobs) {
   for (const Case& c : {Case{kNone, 1, kF64}, Case{kFull, 3, kF64},
                         Case{kNone, 4, kF64}, Case{kNone, 1, kM32}}) {
     std::vector<double> residuals;
-    for (const auto& [threads, streams, chunk] :
-         {std::tuple<int, int, long>{1, 1, 256 * 1024},
-          std::tuple<int, int, long>{4, 1, 256 * 1024},
-          std::tuple<int, int, long>{1, 3, 4096},
-          std::tuple<int, int, long>{2, 2, 1024}}) {
+    for (const auto& [threads, streams] :
+         {std::pair<int, int>{1, 1}, std::pair<int, int>{4, 1},
+          std::pair<int, int>{1, 3}, std::pair<int, int>{2, 2}}) {
       HplConfig cfg = base_cfg(128, 16, 2, 2);
       cfg.pipeline = PipelineMode::LookaheadSplit;
       cfg.pivoting = c.pivoting;
@@ -160,11 +159,10 @@ TEST(Variants, BitwiseIdenticalAcrossExecutionKnobs) {
       cfg.precision = c.prec;
       cfg.blas_threads = threads;
       cfg.update_streams = streams;
-      cfg.swap_chunk_bytes = chunk;
       const HplResult r = run(cfg);
       EXPECT_TRUE(r.verify.passed)
           << to_string(c.pivoting) << " nrhs=" << c.nrhs << " threads="
-          << threads << " streams=" << streams << " chunk=" << chunk;
+          << threads << " streams=" << streams;
       residuals.push_back(r.verify.residual);
     }
     for (std::size_t i = 1; i < residuals.size(); ++i)
@@ -242,7 +240,7 @@ TEST(Variants, NopivMatchesFullPivotQualityAtN1024) {
 
 // Hazard-checker sweep over the schedules this PR adds: the no-pivot
 // broadcast path and the widened multi-RHS backsolve must introduce no
-// unfenced host/device overlap anywhere in pipeline × streams × chunking.
+// unfenced host/device overlap anywhere in pipeline × streams.
 TEST(Variants, HazardSweepIsClean) {
   for (const auto& [pivoting, nrhs] :
        {std::pair<PivotMode, int>{kNone, 1},

@@ -150,8 +150,8 @@ TEST(Kernels, RowGatherProducesColumnMajorWire) {
 
 TEST(Kernels, RowScatterScattersColumnSubranges) {
   Stream s(test_device());
-  // A chunked delivery unpacks a column subrange of the wire block: the
-  // caller advances the input by c0*nr and the output by c0*lda.
+  // Any column subrange of the wire block unpacks on its own: the caller
+  // advances the input by c0*nr and the output by c0*lda.
   const long m = 6, n = 5;
   std::vector<double> a(static_cast<std::size_t>(m * n), 0.0);
   const std::vector<long> rows{4, 1};

@@ -122,44 +122,67 @@ TEST(HplSim, PhaseTotalsAccumulate) {
   EXPECT_LT(r.gpu_seconds, r.seconds * 1.01);
 }
 
-TEST(HplSim, ChunkedRowSwapNeverSlower) {
-  // The pipelined broadcast hides fused unpacks behind the allgather's
-  // wire time: at any chunk size the credited model must be at least as
-  // fast as the blocking baseline, in every pipeline mode, with GPU busy
-  // time unchanged (the unpacks overlap, they do not disappear).
+/// Summed length of the iteration's MPI-lane row-swap bars.
+double rs_wire_seconds(const NodeModel& node, const ClusterConfig& cfg,
+                       int iter) {
+  double sum = 0.0;
+  for (const auto& e : iteration_timeline(node, cfg, iter))
+    if (std::string(e.lane) == "MPI" &&
+        std::string(e.label).rfind("RS", 0) == 0)
+      sum += e.end - e.start;
+  return sum;
+}
+
+TEST(HplSim, SingleProcessRowHasNoRowSwapWire) {
+  // With P = 1 every pivot row is local: the row swap is device work
+  // only, so every mode lays its row-swap wire bars at zero length.
   const NodeModel node = NodeModel::crusher();
   for (const auto mode :
        {core::PipelineMode::Simple, core::PipelineMode::Lookahead,
         core::PipelineMode::LookaheadSplit}) {
-    ClusterConfig base = crusher_config(node, 1);
-    base.pipeline = mode;
-    const SimResult blocking = simulate_hpl(node, base);
-    for (const long chunk : {64L * 1024L, 256L * 1024L, 1024L * 1024L}) {
-      ClusterConfig cfg = base;
-      cfg.swap_chunk_bytes = chunk;
-      const SimResult piped = simulate_hpl(node, cfg);
-      EXPECT_LE(piped.seconds, blocking.seconds * (1.0 + 1e-9))
-          << "mode=" << static_cast<int>(mode) << " chunk=" << chunk;
-      EXPECT_NEAR(piped.gpu_seconds, blocking.gpu_seconds,
-                  blocking.gpu_seconds * 1e-9)
-          << "mode=" << static_cast<int>(mode) << " chunk=" << chunk;
-      EXPECT_GE(piped.seconds, piped.gpu_seconds * (1.0 - 1e-9));
-    }
+    ClusterConfig cfg = crusher_config(node, 1);
+    cfg.pipeline = mode;
+    cfg.p = cfg.p_node = 1;
+    cfg.q = cfg.q_node = node.gcds;
+    for (const int iter : {0, 10, 250, 499})
+      EXPECT_EQ(rs_wire_seconds(node, cfg, iter), 0.0)
+          << to_string(mode) << " iter=" << iter;
   }
 }
 
-TEST(HplSim, ChunkOverheadKeepsTinyChunksFromWinning) {
-  // The per-chunk message latency term must bite: a pathologically small
-  // chunk pays so many extra messages that its credit collapses toward
-  // the blocking baseline (it may never *beat* a sane chunk size).
+TEST(HplSim, RowSwapWireIsPricedAsTwoRingLegs) {
+  // The row swap is one scatterv plus one ring allgatherv of the U block
+  // along the process column, each priced as a ring leg: P - 1 message
+  // latencies plus (P - 1) / P of the U bytes. With Q fixed the U block
+  // is the same for every P, so P = 2 fixes its wire time and P = 4 and 8
+  // must follow the ring's formula; mxp32 halves the bytes, not the hops.
   const NodeModel node = NodeModel::crusher();
-  ClusterConfig cfg = crusher_config(node, 1);
-  cfg.pipeline = core::PipelineMode::Simple;
-  cfg.swap_chunk_bytes = 256 * 1024;
-  const SimResult sane = simulate_hpl(node, cfg);
-  cfg.swap_chunk_bytes = 512;  // ~2000 messages per segment
-  const SimResult tiny = simulate_hpl(node, cfg);
-  EXPECT_GE(tiny.seconds, sane.seconds * (1.0 - 1e-9));
+  const double lat = node.net.intra_lat_s;
+  const int iter = 10;
+  auto cfg_for = [&](int p, core::PrecisionMode prec) {
+    ClusterConfig cfg = crusher_config(node, 1);
+    cfg.pipeline = core::PipelineMode::Lookahead;
+    cfg.precision = prec;
+    cfg.p = cfg.p_node = p;
+    cfg.q = cfg.q_node = 2;
+    return cfg;
+  };
+  const double two =
+      rs_wire_seconds(node, cfg_for(2, core::PrecisionMode::FP64), iter);
+  // two = 2 (lat + U / (2 bw)), so U / bw = two - 2 lat.
+  const double u_over_bw = two - 2.0 * lat;
+  ASSERT_GT(u_over_bw, 0.0);
+  auto ring = [&](int p, double bytes_scale) {
+    return 2.0 * ((p - 1) * lat + bytes_scale * u_over_bw * (p - 1) / p);
+  };
+  for (const int p : {4, 8}) {
+    const double got =
+        rs_wire_seconds(node, cfg_for(p, core::PrecisionMode::FP64), iter);
+    EXPECT_NEAR(got, ring(p, 1.0), ring(p, 1.0) * 1e-12) << "P=" << p;
+  }
+  const double mxp =
+      rs_wire_seconds(node, cfg_for(4, core::PrecisionMode::MXP32), iter);
+  EXPECT_NEAR(mxp, ring(4, 0.5), ring(4, 0.5) * 1e-12);
 }
 
 TEST(HplSim, PrecisionModesOrderModeledSpeedup) {
@@ -192,11 +215,8 @@ TEST(HplSim, PrecisionModesOrderModeledSpeedup) {
 TEST(HplSim, RecordIsTheFoldOfItsTimeline) {
   // simulate_hpl and iteration_timeline share one per-iteration builder,
   // so every record field is a fold of that iteration's bars: mpi_s,
-  // fact_s and transfer_s sum the MPI, CPU and XFER lanes, gpu_s is the
-  // GPU lane's uncredited busy time, and total_s = max(span, gpu_s).
-  // At 256 KiB chunks the per-chunk latency eats the whole credit on this
-  // node; 4 MiB chunks earn it, so the GPU lane's hidden time is folded
-  // too.
+  // fact_s and transfer_s sum the MPI, CPU and XFER lanes, gpu_s the GPU
+  // lane, and total_s = max(span, gpu_s).
   const NodeModel node = NodeModel::crusher();
   auto expect_rel = [](double want, double got, const std::string& what) {
     EXPECT_NEAR(got, want,
@@ -206,42 +226,29 @@ TEST(HplSim, RecordIsTheFoldOfItsTimeline) {
   for (const auto mode :
        {core::PipelineMode::Simple, core::PipelineMode::Lookahead,
         core::PipelineMode::LookaheadSplit}) {
-    for (const long chunk : {0L, 256L * 1024L, 4L << 20}) {
-      ClusterConfig cfg = crusher_config(node, 1);
-      cfg.pipeline = mode;
-      cfg.swap_chunk_bytes = chunk;
-      const SimResult r = simulate_hpl(node, cfg);
-      double hidden = 0.0;
-      for (const int iter : {10, 250, 400, 499}) {
-        const std::string what = "mode=" + std::string(to_string(mode)) +
-                                 " chunk=" + std::to_string(chunk) +
-                                 " iter=" + std::to_string(iter);
-        double span = 0.0, gpu = 0.0, cpu = 0.0, mpi = 0.0, xfer = 0.0;
-        for (const auto& e : iteration_timeline(node, cfg, iter)) {
-          const std::string lane = e.lane;
-          const double len = e.end - e.start;
-          span = std::max(span, e.end);
-          hidden += e.hidden;
-          if (lane == "GPU") gpu += len + e.hidden;
-          if (lane == "CPU") cpu += len;
-          if (lane == "MPI") mpi += len;
-          if (lane == "XFER") xfer += len;
-        }
-        const auto& rec = r.trace.iterations[static_cast<std::size_t>(iter)];
-        EXPECT_EQ(rec.iteration, iter) << what;
-        expect_rel(mpi, rec.mpi_s, what + " mpi_s");
-        expect_rel(cpu, rec.fact_s, what + " fact_s");
-        expect_rel(xfer, rec.transfer_s, what + " transfer_s");
-        expect_rel(gpu, rec.gpu_s, what + " gpu_s");
-        expect_rel(std::max(span, gpu), rec.total_s, what + " total_s");
+    ClusterConfig cfg = crusher_config(node, 1);
+    cfg.pipeline = mode;
+    const SimResult r = simulate_hpl(node, cfg);
+    for (const int iter : {10, 250, 400, 499}) {
+      const std::string what = "mode=" + std::string(to_string(mode)) +
+                               " iter=" + std::to_string(iter);
+      double span = 0.0, gpu = 0.0, cpu = 0.0, mpi = 0.0, xfer = 0.0;
+      for (const auto& e : iteration_timeline(node, cfg, iter)) {
+        const std::string lane = e.lane;
+        const double len = e.end - e.start;
+        span = std::max(span, e.end);
+        if (lane == "GPU") gpu += len;
+        if (lane == "CPU") cpu += len;
+        if (lane == "MPI") mpi += len;
+        if (lane == "XFER") xfer += len;
       }
-      // The pipelined-unpack credit only exists with chunking.
-      if (chunk == 0) {
-        EXPECT_EQ(hidden, 0.0) << to_string(mode);
-      }
-      if (chunk == 4L << 20) {
-        EXPECT_GT(hidden, 0.0) << to_string(mode);
-      }
+      const auto& rec = r.trace.iterations[static_cast<std::size_t>(iter)];
+      EXPECT_EQ(rec.iteration, iter) << what;
+      expect_rel(mpi, rec.mpi_s, what + " mpi_s");
+      expect_rel(cpu, rec.fact_s, what + " fact_s");
+      expect_rel(xfer, rec.transfer_s, what + " transfer_s");
+      expect_rel(gpu, rec.gpu_s, what + " gpu_s");
+      expect_rel(std::max(span, gpu), rec.total_s, what + " total_s");
     }
   }
 }
