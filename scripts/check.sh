@@ -16,6 +16,10 @@
 # unit tests plus the zero-steady-state-allocation solve gates) and the
 # comm-verifier suite ("commcheck": adversarial injection tests for the
 # collective-matching/deadlock/leak checker plus clean solver sweeps).
+# The BLAS ISA gate follows: the x86-64-v4 copy of the BLAS-3 engine must
+# export no symbol outside its own namespace (so no code built for AVX-512
+# can be linked into the baseline path) and must run dgemm and sgemm at
+# least 1.2x the baseline copy (bench/blas_isa_gate.cpp).
 # The benchmark harness's own smoke tests (hplbench/test_hplbench.py: tiny
 # solves of every workload, metric sets, trace output) run next, then a
 # gcc -fanalyzer pass over the transport layer (scripts/analyze.sh,
@@ -52,6 +56,19 @@ ctest --test-dir "$build" --output-on-failure -j "$jobs" -L alloc
 echo "== commcheck gate: ctest -L commcheck ($build)"
 ctest --test-dir "$build" --output-on-failure -j "$jobs" -L commcheck
 
+echo "== isa gate: x86-64-v4 BLAS copy isolated and >= 1.2x baseline"
+v4_obj=$(find "$build/src/blas" -path '*hplx_blas_x86_64_v4.dir/level3.cpp.o')
+if [ -n "$v4_obj" ]; then
+  strays=$(nm -C --defined-only --extern-only "$v4_obj" |
+    grep -v -e ' hplx::blas::x86_64_v4::' -e ' DW\.ref\.' || true)
+  if [ -n "$strays" ]; then
+    echo "x86-64-v4 BLAS copy defines symbols outside its namespace:"
+    echo "$strays"
+    exit 1
+  fi
+fi
+"$build/bench/blas_isa_gate"
+
 echo "== benchmark harness: python3 hplbench/test_hplbench.py"
 (cd "$repo" && python3 hplbench/test_hplbench.py)
 
@@ -69,8 +86,9 @@ else
   cmake -B "$build_tsan" -S "$repo" -DHPLX_SANITIZE=thread \
     -DHPLX_WERROR=ON >/dev/null
   cmake --build "$build_tsan" -j "$jobs" \
-    --target test_util test_blas test_comm test_comm_allgatherv test_device \
-             test_hpl test_alloc test_mxp test_variants test_commcheck
+    --target test_util test_blas test_blas_isa test_comm \
+             test_comm_allgatherv test_device test_hpl test_alloc test_mxp \
+             test_variants test_commcheck
   ctest --test-dir "$build_tsan" --output-on-failure -j "$jobs" -L tsan
 fi
 
@@ -83,7 +101,7 @@ else
   cmake --build "$build_asan" -j "$jobs" \
     --target test_grid test_rng test_trace test_hazard test_comm_allgatherv \
              test_hpl test_sim test_alloc test_mxp test_variants \
-             test_commcheck test_core
+             test_commcheck test_core test_blas_isa
   # LSan rides along with ASan by default on Linux; halt_on_error keeps UB
   # findings fatal so the leg cannot silently pass over them.
   UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}" \

@@ -17,10 +17,11 @@
 /// engine by argument type.
 ///
 /// The BLAS-3 routines run on a packed, register-blocked engine (see
-/// pack.hpp / microkernel.hpp) and optionally parallelize over a
-/// process-wide util::ThreadTeam — install one via blas::set_num_threads
-/// or blas::set_thread_team in threading.hpp. Results are bitwise
-/// identical for every team size, in both precisions.
+/// pack.hpp / microkernel.hpp), compiled once per ISA and chosen at
+/// startup (isa.hpp), and optionally parallelize over a process-wide
+/// util::ThreadTeam — install one via blas::set_num_threads or
+/// blas::set_thread_team in threading.hpp. Results are bitwise identical
+/// for every team size and ISA copy, in both precisions.
 
 namespace hplx::blas {
 

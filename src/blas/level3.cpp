@@ -1,12 +1,16 @@
 #include <algorithm>
 
 #include "blas/blas.hpp"
+#include "blas/isa.hpp"
 #include "blas/microkernel.hpp"
 #include "blas/pack.hpp"
 #include "blas/threading.hpp"
-#include "util/error.hpp"
 
-namespace hplx::blas {
+// One ISA copy of the BLAS-3 engine; see isa.hpp. Argument checks live in
+// the public routines (isa.cpp), so this file calls no inline function
+// from outside its own namespace that could be emitted with this copy's
+// instruction set.
+namespace hplx::blas::HPLX_BLAS_COPY {
 
 namespace {
 
@@ -80,7 +84,7 @@ void gemm_small(Trans ta, Trans tb, int m, int n, int k, T alpha, const T* a,
     return tb == Trans::No ? b[static_cast<long>(j) * ldb + p]
                            : b[static_cast<long>(p) * ldb + j];
   };
-  const int kc = block_sizes_for<T>().kc;
+  constexpr int kc = Tile<T>::kc;
   for (int p0 = 0; p0 < k; p0 += kc) {
     const int pe = std::min(k, p0 + kc);
     const bool first_k = p0 == 0;
@@ -131,18 +135,19 @@ void macro_kernel(int mb, int nb, int kb, T alpha, const T* ap, const T* bp,
 template <typename T, typename BarrierFn>
 void gemm_packed_region(Trans ta, Trans tb, int m, int n, int k, T alpha,
                         const T* a, int lda, const T* b, int ldb, T beta,
-                        T* c, int ldc, const BlockSizes& bs, int tid,
-                        int nthreads, T* bp_shared, BarrierFn&& barrier) {
-  constexpr int mr_t = Tile<T>::mr;
-  constexpr int nr_t = Tile<T>::nr;
+                        T* c, int ldc, int tid, int nthreads, T* bp_shared,
+                        BarrierFn&& barrier) {
+  using Tl = Tile<T>;
+  constexpr int mr_t = Tl::mr;
+  constexpr int nr_t = Tl::nr;
   T* ap = scratch<T>().a.template ensure<T>(
-      static_cast<std::size_t>(round_up(bs.mc, mr_t)) * bs.kc);
-  const int mc_blocks = ceil_div(m, bs.mc);
-  for (int jc = 0; jc < n; jc += bs.nc) {
-    const int nb = std::min(bs.nc, n - jc);
+      static_cast<std::size_t>(round_up(Tl::mc, mr_t)) * Tl::kc);
+  const int mc_blocks = ceil_div(m, Tl::mc);
+  for (int jc = 0; jc < n; jc += Tl::nc) {
+    const int nb = std::min(Tl::nc, n - jc);
     const int nb_tiles = ceil_div(nb, nr_t);
-    for (int pc = 0; pc < k; pc += bs.kc) {
-      const int kb = std::min(bs.kc, k - pc);
+    for (int pc = 0; pc < k; pc += Tl::kc) {
+      const int kb = std::min(Tl::kc, k - pc);
       const bool first_k = pc == 0;
       for (int t = tid; t < nb_tiles; t += nthreads) {
         const int j0 = t * nr_t;
@@ -152,8 +157,8 @@ void gemm_packed_region(Trans ta, Trans tb, int m, int n, int k, T alpha,
       }
       barrier();
       for (int blk = tid; blk < mc_blocks; blk += nthreads) {
-        const int ic = blk * bs.mc;
-        const int mb = std::min(bs.mc, m - ic);
+        const int ic = blk * Tl::mc;
+        const int mb = std::min(Tl::mc, m - ic);
         pack_a(ta, mb, kb, op_a_ptr(ta, a, lda, ic, pc), lda, ap);
         macro_kernel(mb, nb, kb, alpha, ap, bp_shared,
                      c + ic + static_cast<long>(jc) * ldc, ldc, first_k,
@@ -162,6 +167,13 @@ void gemm_packed_region(Trans ta, Trans tb, int m, int n, int k, T alpha,
       barrier();
     }
   }
+}
+
+/// Elements in one packed KC×NC B panel, nr-padded.
+template <typename T>
+constexpr std::size_t b_panel_elems() {
+  return static_cast<std::size_t>(round_up(Tile<T>::nc, Tile<T>::nr)) *
+         Tile<T>::kc;
 }
 
 /// Internal gemm used by trsm's trailing updates: never tries to take
@@ -174,21 +186,15 @@ void gemm_sequential(Trans ta, Trans tb, int m, int n, int k, T alpha,
     gemm_small(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
     return;
   }
-  const BlockSizes bs = block_sizes_for<T>();
-  T* bp = scratch<T>().b.template ensure<T>(
-      static_cast<std::size_t>(round_up(bs.nc, Tile<T>::nr)) * bs.kc);
-  gemm_packed_region(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
-                     bs, 0, 1, bp, [] {});
+  T* bp = scratch<T>().b.template ensure<T>(b_panel_elems<T>());
+  gemm_packed_region(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, 0,
+                     1, bp, [] {});
 }
 
 template <typename T>
 void gemm_impl(Trans ta, Trans tb, int m, int n, int k, T alpha, const T* a,
                int lda, const T* b, int ldb, T beta, T* c, int ldc) {
   if (m <= 0 || n <= 0) return;
-  HPLX_CHECK(ldc >= m);
-  HPLX_CHECK(lda >= ((ta == Trans::No) ? std::max(1, m) : std::max(1, k)));
-  HPLX_CHECK(ldb >= ((tb == Trans::No) ? std::max(1, k) : std::max(1, n)));
-
   if (k <= 0 || alpha == T(0)) {
     // Degenerate multiply: only the beta scaling of C remains.
     for (int j = 0; j < n; ++j) {
@@ -208,25 +214,21 @@ void gemm_impl(Trans ta, Trans tb, int m, int n, int k, T alpha, const T* a,
     return;
   }
 
-  const BlockSizes bs = block_sizes_for<T>();
   if (flops >= kTeamFlopCutoff) {
     detail::TeamLease lease;
     if (ThreadTeam* team = lease.team()) {
       const int nthreads = team->size();
-      T* bp = team_b<T>().template ensure<T>(
-          static_cast<std::size_t>(round_up(bs.nc, Tile<T>::nr)) * bs.kc);
+      T* bp = team_b<T>().template ensure<T>(b_panel_elems<T>());
       team->run([&](int tid) {
         gemm_packed_region(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c,
-                           ldc, bs, tid, nthreads, bp,
-                           [&] { team->barrier(); });
+                           ldc, tid, nthreads, bp, [&] { team->barrier(); });
       });
       return;
     }
   }
-  T* bp = scratch<T>().b.template ensure<T>(
-      static_cast<std::size_t>(round_up(bs.nc, Tile<T>::nr)) * bs.kc);
-  gemm_packed_region(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
-                     bs, 0, 1, bp, [] {});
+  T* bp = scratch<T>().b.template ensure<T>(b_panel_elems<T>());
+  gemm_packed_region(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, 0,
+                     1, bp, [] {});
 }
 
 /// Unblocked forward substitution: L(tb×tb) * X = B on the block's rows,
@@ -415,9 +417,7 @@ template <typename T>
 void trsm_impl(Side side, Uplo uplo, Trans trans, Diag diag, int m, int n,
                T alpha, const T* a, int lda, T* b, int ldb) {
   if (m <= 0 || n <= 0) return;
-  HPLX_CHECK(ldb >= m);
   const int na = (side == Side::Left) ? m : n;
-  HPLX_CHECK(lda >= std::max(1, na));
 
   // Independent-slice team split: columns of B for Left (each RHS column
   // solves alone), rows of B for Right (each X row solves alone). Every
@@ -452,26 +452,10 @@ void trsm_impl(Side side, Uplo uplo, Trans trans, Diag diag, int m, int n,
 
 }  // namespace
 
-void dgemm(Trans ta, Trans tb, int m, int n, int k, double alpha,
-           const double* a, int lda, const double* b, int ldb, double beta,
-           double* c, int ldc) {
-  gemm_impl<double>(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
-}
+const Level3Copy kLevel3 = {kIsa,
+                            Tile<double>::mr,  Tile<double>::nr,
+                            Tile<float>::mr,   Tile<float>::nr,
+                            gemm_impl<double>, gemm_impl<float>,
+                            trsm_impl<double>, trsm_impl<float>};
 
-void sgemm(Trans ta, Trans tb, int m, int n, int k, float alpha,
-           const float* a, int lda, const float* b, int ldb, float beta,
-           float* c, int ldc) {
-  gemm_impl<float>(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
-}
-
-void dtrsm(Side side, Uplo uplo, Trans trans, Diag diag, int m, int n,
-           double alpha, const double* a, int lda, double* b, int ldb) {
-  trsm_impl<double>(side, uplo, trans, diag, m, n, alpha, a, lda, b, ldb);
-}
-
-void strsm(Side side, Uplo uplo, Trans trans, Diag diag, int m, int n,
-           float alpha, const float* a, int lda, float* b, int ldb) {
-  trsm_impl<float>(side, uplo, trans, diag, m, n, alpha, a, lda, b, ldb);
-}
-
-}  // namespace hplx::blas
+}  // namespace hplx::blas::HPLX_BLAS_COPY

@@ -5,25 +5,26 @@
 /// The hot loop of the engine: one packed A row-panel (Tile<T>::mr
 /// elements per k step) against one packed B column-panel (Tile<T>::nr per
 /// k step), accumulating into an mr×nr register block that never touches
-/// memory until the write-back. Both element types use a 4×8 tile: small
-/// enough that gcc's SLP vectorizer keeps the whole accumulator block in
-/// registers (larger float tiles trip its cost model and fall back to
-/// scalar code), with the C traffic at one load/store pair per KC k-steps
-/// instead of one per tile row (the pre-pack kernel's ratio), which is
-/// where the speedup comes from. Each float tile row is half the bytes of
-/// a double row, so fp32 retires twice the elements per vector op — the
-/// mxp32 mode's 2x flop-density win.
+/// memory until the write-back. The C traffic is one load/store pair per
+/// KC k-steps instead of one per tile row (the pre-pack kernel's ratio),
+/// which is where the speedup comes from. Each ISA copy picks its own
+/// tile (pack.hpp): the baseline copy runs 4×8 in both precisions, the
+/// x86-64-v4 copy 4×24 double and 4×32 float — three or two zmm
+/// registers per accumulator row. At v4, the double tiles 4×16, 8×8,
+/// 8×16, 2×16 and 6×8 and the float tiles 4×8 and 4×16 make gcc 12 keep
+/// the accumulator block in memory and collapse the kernel to a few
+/// GF/s; pack.hpp has the measured table.
 ///
 /// Accumulation order is fixed: k runs sequentially within a KC block and
 /// KC blocks are visited in order, and every C tile is written by exactly
 /// one thread — so results are bitwise identical for every team size T
-/// (see tests/blas/test_threaded.cpp).
+/// and every ISA copy (tests/blas/test_threaded.cpp, test_isa.cpp).
 
 #include <algorithm>
 
 #include "blas/pack.hpp"
 
-namespace hplx::blas {
+namespace hplx::blas::HPLX_BLAS_COPY {
 
 /// acc[i*nr + j] = sum_k ap[k*mr + i] * bp[k*nr + j] over kb steps.
 template <typename T>
@@ -71,4 +72,4 @@ inline void write_back(int mr, int nr, T alpha, const T* acc, T* c, int ldc,
   }
 }
 
-}  // namespace hplx::blas
+}  // namespace hplx::blas::HPLX_BLAS_COPY

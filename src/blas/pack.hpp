@@ -1,6 +1,7 @@
 #pragma once
 /// \file pack.hpp
-/// \brief Panel packing for the blocked BLAS-3 engine (GotoBLAS layout).
+/// \brief Register tiles, cache blocking and panel packing for the blocked
+/// BLAS-3 engine (GotoBLAS layout).
 ///
 /// gemm streams A and B through cache-resident packed tiles instead of
 /// walking the caller's (possibly strided, possibly transposed) storage in
@@ -19,79 +20,102 @@
 /// write-back masks the padding.
 ///
 /// The engine is instantiated per element type: `double` (the seed dgemm
-/// path) and `float` (the HPL-MxP mxp32 path). Both use the same 4×8
-/// micro-tile (see Tile below for why float does not go wider); the float
-/// cache-blocking defaults double every MC/KC/NC count so the packed
-/// panels hold twice the elements in comparable cache space, and fp32
-/// moves twice the elements per cache line and vector op.
+/// path) and `float` (the HPL-MxP mxp32 path). The float cache blocking
+/// doubles every MC/KC/NC count so the packed panels hold twice the
+/// elements in the same cache space.
+///
+/// This header, microkernel.hpp and level3.cpp are compiled once per ISA
+/// copy of the engine (see isa.hpp). Each copy lives in its own namespace,
+/// HPLX_BLAS_COPY, so the copies' inline functions and templates never
+/// share a symbol and the linker cannot mix code built for one ISA into
+/// the other.
 
 #include <cstddef>
 #include <new>
 
 #include "blas/blas.hpp"
 
+#if defined(HPLX_BLAS_X86_64_V4)
+#define HPLX_BLAS_COPY x86_64_v4
+#else
+#define HPLX_BLAS_COPY baseline
+#endif
+
 namespace hplx::blas {
 
-/// Per-element-type micro-tile shape. Both engines use a 4×8 tile: each
-/// accumulator row is one or two vector registers wide and the 4-row
-/// unroll is small enough that the compiler's SLP vectorizer reliably
-/// keeps the whole block in registers for either element type. (An 8×8
-/// float tile — byte-parity with the double tile — defeats the
-/// vectorizer's cost model on gcc and runs scalar, ~5x slower; the
-/// narrower tile is what actually realizes fp32's 2x flop-density win.)
+/// K depth of one packed block, shared by every ISA copy. KC fixes where
+/// the k-sum splits into partial sums that are added into C in order, so
+/// it fixes the rounding: a copy with another KC would change the bits.
+template <typename T>
+inline constexpr int kKC = sizeof(T) == sizeof(double) ? 256 : 512;
+
+namespace HPLX_BLAS_COPY {
+
+/// Per-element-type register tile (mr×nr) and cache blocking (MC, KC, NC)
+/// of this ISA copy. MC×KC keeps one packed A block in L2 (256 KiB in
+/// both precisions) and NC×KC one B stripe beside it; MC and NC are the
+/// same in every copy.
+///
+/// The tile shapes are chosen for gcc's vectorizer, which keeps the
+/// micro-kernel's mr×nr accumulator block in whole vector registers only
+/// for some shapes; for the others its cost model keeps the block in
+/// memory and the kernel runs several times slower. Accumulation stays
+/// unfused (-ffp-contract=off) and vectorizes across independent C
+/// elements only, so every shape yields the same bits. To re-derive a
+/// shape, build level3.cpp with -fopt-info-vec: a fast shape reports the
+/// micro-kernel's innermost loop (over nr) vectorized with full-width
+/// vectors, while a collapsed one reports the loop over mr vectorized, or
+/// narrower vectors. Then confirm with bench/blas_isa_gate.
+///
+/// kIsa is the copy's name in Level3Copy::isa and the run report.
 template <typename T>
 struct Tile;
+
+#if defined(HPLX_BLAS_X86_64_V4)
+inline constexpr char kIsa[] = "x86-64-v4";
+// x86-64-v4 (AVX-512). Single-thread GF/s at 1024×1024×256
+// (bench/blas_isa_gate, 4-core AVX-512 Xeon, gcc 12, 3 runs each):
+//   double 4×24 28–37 | 4×40 36–38 | 8×24 35–37 | 4×32 26–32 | 4×8 19–22
+//          collapsed: 8×8 3.2, 4×16 2.7, 2×16 4.0, 8×16 5.2, 6×8 2.3
+//   float  4×32 56–77 | 2×32 56–75 | 6×32 56 | 4×48 54 | 4×64 49
+//          collapsed: 4×16 3.0, 4×8 1.8
+// Double 4×24 is three zmm per accumulator row (12 accumulators); it is
+// the narrowest of the fast double tiles, so it pads least on the narrow
+// column blocks of the recursive panel factorization. Float 4×32 is two
+// zmm per row.
 template <>
 struct Tile<double> {
-  static constexpr int mr = 4;
-  static constexpr int nr = 8;
+  static constexpr int mr = 4, nr = 24;
+  static constexpr int mc = 128, kc = kKC<double>, nc = 512;
 };
 template <>
 struct Tile<float> {
-  static constexpr int mr = 4;
-  static constexpr int nr = 8;
+  static constexpr int mr = 4, nr = 32;
+  static constexpr int mc = 256, kc = kKC<float>, nc = 1024;
 };
-
-/// Micro-tile rows/columns of the double engine (compat aliases; the
-/// templated engine uses Tile<T>).
-inline constexpr int kMR = Tile<double>::mr;
-inline constexpr int kNR = Tile<double>::nr;
-
-/// Runtime cache-blocking parameters (the MC/KC/NC of the Goto loop
-/// ordering). Defaults keep one packed A block (MC×KC = 256 KiB) plus the
-/// B stripe inside L2. Settable at runtime for experiments; values are
-/// snapshotted at the top of each gemm call.
-struct BlockSizes {
-  int mc = 128;
-  int kc = 256;
-  int nc = 512;
+#else
+inline constexpr char kIsa[] = "baseline";
+// Baseline (the build's own flags; SSE2 on x86-64). Both types use 4×8:
+// each accumulator row is two or four xmm registers and the 4-row unroll
+// is small enough that the SLP vectorizer keeps the block in registers
+// for either element type. An 8×8 float tile (byte parity with the
+// double tile) defeats its cost model and runs scalar, about 5× slower.
+template <>
+struct Tile<double> {
+  static constexpr int mr = 4, nr = 8;
+  static constexpr int mc = 128, kc = kKC<double>, nc = 512;
 };
-
-/// Install new pack block sizes for the double engine (clamped to
-/// multiples of kMR/kNR, minimum one tile). Not thread-safe against
-/// in-flight dgemm calls; intended for configuration time.
-void set_block_sizes(const BlockSizes& bs);
-BlockSizes block_sizes();
-
-/// Same knobs for the float engine. Defaults are 2x the double counts
-/// (mc=256, kc=512, nc=1024): identical byte footprint, twice the
-/// elements.
-void set_block_sizes_f32(const BlockSizes& bs);
-BlockSizes block_sizes_f32();
-
-/// Per-type dispatch used by the templated engine.
-template <typename T>
-inline BlockSizes block_sizes_for();
 template <>
-inline BlockSizes block_sizes_for<double>() { return block_sizes(); }
-template <>
-inline BlockSizes block_sizes_for<float>() { return block_sizes_f32(); }
+struct Tile<float> {
+  static constexpr int mr = 4, nr = 8;
+  static constexpr int mc = 256, kc = kKC<float>, nc = 1024;
+};
+#endif
 
 /// 64-byte-aligned, lazily grown scratch buffer. Packed tiles live here;
 /// alignment keeps tile rows on cache-line boundaries so the vectorizer
 /// can use aligned loads. Capacity is tracked in bytes so one buffer can
-/// serve either element type (the templated engine keeps per-type
-/// instances anyway; this just makes reuse safe).
+/// serve either element type.
 class AlignedBuffer {
  public:
   AlignedBuffer() = default;
@@ -101,8 +125,8 @@ class AlignedBuffer {
   AlignedBuffer& operator=(const AlignedBuffer&) = delete;
 
   /// Grow (never shrink) to at least `count` elements of T and return the
-  /// base. Defaults to double for the pre-template call sites.
-  template <typename T = double>
+  /// base.
+  template <typename T>
   T* ensure(std::size_t count) {
     const std::size_t bytes = count * sizeof(T);
     if (bytes > capacity_) {
@@ -112,8 +136,6 @@ class AlignedBuffer {
     }
     return static_cast<T*>(data_);
   }
-
-  double* data() { return static_cast<double*>(data_); }
 
  private:
   void* data_ = nullptr;
@@ -192,4 +214,5 @@ void pack_b(Trans trans, int kb, int nb, const T* b, int ldb, T* bp) {
   }
 }
 
+}  // namespace HPLX_BLAS_COPY
 }  // namespace hplx::blas

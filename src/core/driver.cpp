@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "blas/isa.hpp"
 #include "blas/threading.hpp"
 #include "comm/buffer_pool.hpp"
 #include "comm/collectives.hpp"
@@ -972,6 +973,7 @@ HplResult run_hpl(comm::Communicator& world, const HplConfig& cfg) {
     Solver<double> solver(world, cfg);
     result = solver.solve();
   }
+  result.blas = blas::describe(blas::active_level3_copy());
   // Append the world fabric's own verifier records (mismatched splits,
   // stray world traffic) — the grid fabrics were collected inside
   // solve(), but the world fabric outlives the solver. No orphan audit

@@ -58,6 +58,9 @@ struct AllocStats {
 struct HplResult {
   double seconds = 0.0;  ///< wall time of factorization + backsolve
   double gflops = 0.0;   ///< (2/3·N³ + 3/2·N²) / seconds / 1e9
+  /// The BLAS-3 engine copy that ran and its register tiles, e.g.
+  /// "x86-64-v4 (f64 4x24, f32 4x32)" (blas::describe).
+  std::string blas;
 
   VerifyResult verify;   ///< residual check (if cfg.verify)
 

@@ -95,6 +95,7 @@ void print_hpl_result(std::ostream& os, const HplConfig& cfg,
      << "||Ax-b||_oo/(eps*(||A||_oo*||x||_oo+||b||_oo)*N)= " << std::fixed
      << std::setprecision(7) << result.verify.residual << " ...... "
      << (result.verify.passed ? "PASSED" : "FAILED") << '\n';
+  if (!result.blas.empty()) os << "blas: " << result.blas << '\n';
   os.unsetf(std::ios::floatfield);
 }
 
@@ -117,6 +118,7 @@ void print_phase_breakdown(std::ostream& os, const HplResult& result) {
   };
   os << kDash << "Phase breakdown (phases overlap; shares are of wall "
         "time):\n";
+  if (!result.blas.empty()) os << "  blas: " << result.blas << '\n';
   line("wall (solve + backsolve)", result.seconds);
   line("GPU kernels", result.gpu_seconds);
   line("CPU panel factorization", result.fact_seconds);

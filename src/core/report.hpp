@@ -29,16 +29,19 @@ void print_hpl_banner(std::ostream& os);
 /// Print the column header for result lines.
 void print_hpl_header(std::ostream& os);
 
-/// Print one result line + the residual verdict lines.
+/// Print one result line + the residual verdict lines, then the BLAS-3
+/// engine copy that ran ("blas: x86-64-v4 (f64 4x24, f32 4x32)") so the
+/// GF/s figure names its kernel.
 void print_hpl_result(std::ostream& os, const HplConfig& cfg,
                       const HplResult& result);
 
 /// Print the closing summary ("Finished N tests ...").
 void print_hpl_footer(std::ostream& os, int tests, int passed);
 
-/// rocHPL-style per-phase breakdown of a run: wall-time share of FACT,
-/// MPI, host<->device transfers, and GPU kernels (shares can exceed 100%
-/// in aggregate — phases overlap by design).
+/// rocHPL-style per-phase breakdown of a run, headed by the BLAS-3 copy
+/// that ran: wall-time share of FACT, MPI, host<->device transfers, and
+/// GPU kernels (shares can exceed 100% in aggregate — phases overlap by
+/// design).
 void print_phase_breakdown(std::ostream& os, const HplResult& result);
 
 /// End-of-run hazard-checker table (result.hazards): one row per

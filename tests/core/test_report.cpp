@@ -49,10 +49,13 @@ TEST(Report, ResultLineContainsAllColumns) {
   r.gflops = 14.408;
   r.verify.residual = 0.0051862;
   r.verify.passed = true;
+  r.blas = "x86-64-v4 (f64 4x24, f32 4x32)";
 
   std::ostringstream os;
   print_hpl_result(os, sample_cfg(), r);
   const std::string s = os.str();
+  EXPECT_NE(s.find("blas: x86-64-v4 (f64 4x24, f32 4x32)\n"),
+            std::string::npos);
   EXPECT_NE(s.find("WR11V2R16"), std::string::npos);
   EXPECT_NE(s.find("35840"), std::string::npos);
   EXPECT_NE(s.find("384"), std::string::npos);
