@@ -1,16 +1,15 @@
 /// \file bench_cpu_blas.cpp
-/// \brief K-BLAS: google-benchmark timings of the CPU BLAS kernels the
-/// panel factorization leans on (dgemm, dtrsm, dger, idamax). Tracking
-/// numbers for the functional engine, not a reproduction target.
+/// \brief K-BLAS: google-benchmark timings of the level-1/2 BLAS kernels
+/// the panel factorization leans on (dger, idamax, dgemv). The level-3
+/// rates (dgemm, sgemm, dtrsm) are hplbench probes. Tracking numbers for
+/// the functional engine, not a reproduction target.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <vector>
 
-#include "bench/gbench_json_main.hpp"
 #include "blas/blas.hpp"
-#include "blas/threading.hpp"
 
 namespace {
 
@@ -25,78 +24,6 @@ std::vector<double> random_matrix(int rows, int cols, std::uint64_t seed) {
   }
   return a;
 }
-
-void BM_Dgemm(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int k = static_cast<int>(state.range(1));
-  auto a = random_matrix(n, k, 1);
-  auto b = random_matrix(k, n, 2);
-  auto c = random_matrix(n, n, 3);
-  for (auto _ : state) {
-    hplx::blas::dgemm(hplx::blas::Trans::No, hplx::blas::Trans::No, n, n, k,
-                      -1.0, a.data(), n, b.data(), k, 1.0, c.data(), n);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.counters["GFLOP/s"] = benchmark::Counter(
-      2.0 * n * n * k * static_cast<double>(state.iterations()) / 1e9,
-      benchmark::Counter::kIsRate);
-}
-// HPL shapes: the trailing update C -= L·U with m = n = local trailing
-// width and k = NB. The >= 512 shapes are the PR's acceptance points.
-BENCHMARK(BM_Dgemm)
-    ->Args({256, 64})
-    ->Args({256, 128})
-    ->Args({512, 64})
-    ->Args({512, 128})
-    ->Args({512, 256})
-    ->Args({1024, 256});
-
-void BM_DgemmTeamed(benchmark::State& state) {
-  // Same kernel with the BLAS thread team engaged (third arg = team
-  // size). On a single hardware core the team only demonstrates the knob
-  // and its bitwise-deterministic partitioning; speedups need real cores.
-  const int n = static_cast<int>(state.range(0));
-  const int k = static_cast<int>(state.range(1));
-  hplx::blas::set_num_threads(static_cast<int>(state.range(2)));
-  auto a = random_matrix(n, k, 1);
-  auto b = random_matrix(k, n, 2);
-  auto c = random_matrix(n, n, 3);
-  for (auto _ : state) {
-    hplx::blas::dgemm(hplx::blas::Trans::No, hplx::blas::Trans::No, n, n, k,
-                      -1.0, a.data(), n, b.data(), k, 1.0, c.data(), n);
-    benchmark::DoNotOptimize(c.data());
-  }
-  hplx::blas::set_num_threads(1);
-  state.counters["GFLOP/s"] = benchmark::Counter(
-      2.0 * n * n * k * static_cast<double>(state.iterations()) / 1e9,
-      benchmark::Counter::kIsRate);
-}
-// UseRealTime: with a team, the work runs on worker threads whose CPU
-// time the main thread's clock never sees — the default CPU-time rate
-// basis would overstate GFLOP/s by roughly the team size.
-BENCHMARK(BM_DgemmTeamed)
-    ->Args({512, 256, 2})
-    ->Args({1024, 256, 4})
-    ->UseRealTime();
-
-void BM_DtrsmLeftLowerUnit(benchmark::State& state) {
-  const int nb = static_cast<int>(state.range(0));
-  const int n = static_cast<int>(state.range(1));
-  auto l = random_matrix(nb, nb, 4);
-  auto u0 = random_matrix(nb, n, 5);
-  for (auto _ : state) {
-    auto u = u0;
-    hplx::blas::dtrsm(hplx::blas::Side::Left, hplx::blas::Uplo::Lower,
-                      hplx::blas::Trans::No, hplx::blas::Diag::Unit, nb, n,
-                      1.0, l.data(), nb, u.data(), nb);
-    benchmark::DoNotOptimize(u.data());
-  }
-  state.counters["GFLOP/s"] = benchmark::Counter(
-      static_cast<double>(nb) * nb * n *
-          static_cast<double>(state.iterations()) / 1e9,
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_DtrsmLeftLowerUnit)->Args({64, 256})->Args({128, 256});
 
 void BM_Dger(benchmark::State& state) {
   const int m = static_cast<int>(state.range(0));
@@ -139,7 +66,4 @@ BENCHMARK(BM_Dgemv)->Args({8192, 64});
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  return hplx::benchutil::run_with_default_json(argc, argv,
-                                                "BENCH_blas.json");
-}
+BENCHMARK_MAIN();

@@ -1,22 +1,19 @@
 /// \file bench_kernels.cpp
 /// \brief K-KERN: google-benchmark timings of the device data-motion
-/// kernels (row gather/scatter, strided copies) on the
-/// column-tiled engine, against the seed's row-outer naive loops. These
+/// kernels no hplbench probe measures — the row-swap scatter and the
+/// strided matrix copy — on the column-tiled engine at its defaults. These
 /// are the kernels that bound the solver's non-GEMM phases once the
 /// trailing update is fast (§III; the Aurora HPL retrospective reports the
 /// same shift). Shapes are HPL trailing-window shapes: jb = NB rows by
-/// njl >= 2048 columns. Emits BENCH_kernels.json.
+/// njl >= 2048 columns. The row gather is the hplbench probe
+/// device.rowswap_kernel.gbps.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
-#include "bench/gbench_json_main.hpp"
-#include "blas/threading.hpp"
 #include "device/device.hpp"
-#include "device/engine.hpp"
 #include "device/kernels.hpp"
 #include "device/stream.hpp"
 
@@ -54,30 +51,6 @@ std::vector<long> scattered_rows(long jb, long m, std::uint64_t seed) {
   return rows;
 }
 
-// ----------------------------------------------------------------------
-// The seed kernels, verbatim (row-outer loops, inner loop striding lda):
-// the recorded "before" numbers for the engine comparison.
-
-void naive_row_gather(const double* a, long lda, const std::vector<long>& rows,
-                      long n, double* out, long ldo) {
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    const long src_row = rows[r];
-    for (long j = 0; j < n; ++j)
-      out[static_cast<long>(r) + j * ldo] = a[src_row + j * lda];
-  }
-}
-
-void naive_row_scatter(double* a, long lda, const std::vector<long>& rows,
-                       long n, const double* in, long ldi) {
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    const long dst_row = rows[r];
-    for (long j = 0; j < n; ++j)
-      a[dst_row + j * lda] = in[static_cast<long>(r) + j * ldi];
-  }
-}
-
-// ----------------------------------------------------------------------
-
 /// Moved bytes for the rate counter (read + write of every element).
 void set_mbs(benchmark::State& state, long rows, long cols) {
   state.counters["MB/s"] = benchmark::Counter(
@@ -86,60 +59,11 @@ void set_mbs(benchmark::State& state, long rows, long cols) {
       benchmark::Counter::kIsRate);
 }
 
-/// Engine state per benchmark: {tile_cols, threads}. threads > 1 installs
-/// a BLAS team for the kernels to lease.
-struct EngineGuard {
-  explicit EngineGuard(benchmark::State& state)
-      : saved(device::engine_config()) {
-    device::EngineConfig cfg;
-    cfg.tile_cols = state.range(2);
-    cfg.threads = 0;
-    const int team = static_cast<int>(state.range(3));
-    blas::set_num_threads(team);
-    device::configure_engine(cfg);
-  }
-  ~EngineGuard() {
-    blas::set_num_threads(1);
-    device::configure_engine(saved);
-  }
-  device::EngineConfig saved;
-};
-
-void BM_RowGather(benchmark::State& state) {
-  const long jb = state.range(0), njl = state.range(1);
-  EngineGuard guard(state);
-  device::Stream s(bench_device());
-  auto a = random_matrix(njl + 64, njl, 1);  // lda > rows: realistic window
-  const long lda = njl + 64;
-  auto rows = scattered_rows(jb, lda, 2);
-  std::vector<double> out(static_cast<std::size_t>(jb) * njl);
-  for (auto _ : state) {
-    device::row_gather(s, a.data(), lda, rows, njl, out.data(), jb);
-    s.synchronize();
-    benchmark::DoNotOptimize(out.data());
-  }
-  set_mbs(state, jb, njl);
-}
-
-void BM_RowGatherNaive(benchmark::State& state) {
-  const long jb = state.range(0), njl = state.range(1);
-  auto a = random_matrix(njl + 64, njl, 1);
-  const long lda = njl + 64;
-  auto rows = scattered_rows(jb, lda, 2);
-  std::vector<double> out(static_cast<std::size_t>(jb) * njl);
-  for (auto _ : state) {
-    naive_row_gather(a.data(), lda, rows, njl, out.data(), jb);
-    benchmark::DoNotOptimize(out.data());
-  }
-  set_mbs(state, jb, njl);
-}
-
 void BM_RowScatter(benchmark::State& state) {
   const long jb = state.range(0), njl = state.range(1);
-  EngineGuard guard(state);
   device::Stream s(bench_device());
   std::vector<double> a(static_cast<std::size_t>(njl + 64) * njl);
-  const long lda = njl + 64;
+  const long lda = njl + 64;  // lda > rows: realistic window
   auto rows = scattered_rows(jb, lda, 8);
   auto in = random_matrix(jb, njl, 9);
   for (auto _ : state) {
@@ -150,22 +74,8 @@ void BM_RowScatter(benchmark::State& state) {
   set_mbs(state, jb, njl);
 }
 
-void BM_RowScatterNaive(benchmark::State& state) {
-  const long jb = state.range(0), njl = state.range(1);
-  std::vector<double> a(static_cast<std::size_t>(njl + 64) * njl);
-  const long lda = njl + 64;
-  auto rows = scattered_rows(jb, lda, 8);
-  auto in = random_matrix(jb, njl, 9);
-  for (auto _ : state) {
-    naive_row_scatter(a.data(), lda, rows, njl, in.data(), jb);
-    benchmark::DoNotOptimize(a.data());
-  }
-  set_mbs(state, jb, njl);
-}
-
 void BM_CopyMatrix(benchmark::State& state) {
   const long m = state.range(0), n = state.range(1);
-  EngineGuard guard(state);
   device::Stream s(bench_device());
   auto src = random_matrix(m + 8, n, 7);
   std::vector<double> dst(static_cast<std::size_t>(m + 8) * n);
@@ -177,26 +87,16 @@ void BM_CopyMatrix(benchmark::State& state) {
   set_mbs(state, m, n);
 }
 
-// Args: {jb rows, njl cols, tile_cols, team}. The acceptance shapes are
-// jb = NB in {256, 512} and njl in {2048, 4096}; team rows document the
-// knob (this container has one core, so they demonstrate determinism).
-#define HPL_SHAPES                          \
-  Args({256, 2048, 256, 1})                 \
-      ->Args({256, 4096, 256, 1})           \
-      ->Args({512, 2048, 256, 1})           \
-      ->Args({512, 4096, 256, 1})           \
-      ->Args({512, 4096, 64, 1})            \
-      ->Args({512, 4096, 256, 4})
-
-BENCHMARK(BM_RowGather)->HPL_SHAPES->UseRealTime();
-BENCHMARK(BM_RowGatherNaive)->Args({256, 2048, 0, 0})->Args({256, 4096, 0, 0})->Args({512, 2048, 0, 0})->Args({512, 4096, 0, 0});
-BENCHMARK(BM_RowScatter)->HPL_SHAPES->UseRealTime();
-BENCHMARK(BM_RowScatterNaive)->Args({256, 2048, 0, 0})->Args({256, 4096, 0, 0})->Args({512, 2048, 0, 0})->Args({512, 4096, 0, 0});
-BENCHMARK(BM_CopyMatrix)->Args({2048, 2048, 256, 1})->Args({4096, 2048, 256, 1})->UseRealTime();
+// Args: {jb rows, njl cols}: jb = NB in {256, 512}, njl in {2048, 4096}.
+// Real time: the kernels run on the stream's worker thread.
+BENCHMARK(BM_RowScatter)
+    ->Args({256, 2048})
+    ->Args({256, 4096})
+    ->Args({512, 2048})
+    ->Args({512, 4096})
+    ->UseRealTime();
+BENCHMARK(BM_CopyMatrix)->Args({2048, 2048})->Args({4096, 2048})->UseRealTime();
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  return hplx::benchutil::run_with_default_json(argc, argv,
-                                                "BENCH_kernels.json");
-}
+BENCHMARK_MAIN();

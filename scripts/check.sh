@@ -21,9 +21,13 @@
 # can be linked into the baseline path) and must run dgemm and sgemm at
 # least 1.2x the baseline copy (bench/blas_isa_gate.cpp).
 # The benchmark harness's own smoke tests (hplbench/test_hplbench.py: tiny
-# solves of every workload, metric sets, trace output) run next, then a
-# gcc -fanalyzer pass over the transport layer (scripts/analyze.sh,
-# baseline-gated) closes out the default build's steps.
+# solves of every workload, metric sets, trace output) and the A/B script's
+# verdict tests (scripts/test_bench_compare.py) run next. A minimal
+# configure follows: the libraries alone, in a scratch build-minimal/, with
+# tests, benches and examples off and GTest and google-benchmark hidden,
+# which is how hplbench builds them. A gcc -fanalyzer pass over the
+# transport layer (scripts/analyze.sh, baseline-gated) closes out the
+# default build's steps.
 # This is what CI runs and what a perf PR must keep green.
 #
 #   scripts/check.sh             # build/ + build-tsan/ + build-asan/
@@ -71,6 +75,19 @@ fi
 
 echo "== benchmark harness: python3 hplbench/test_hplbench.py"
 (cd "$repo" && python3 hplbench/test_hplbench.py)
+
+echo "== A/B verdicts: python3 scripts/test_bench_compare.py"
+python3 "$repo/scripts/test_bench_compare.py"
+
+echo "== minimal configure: libraries without GTest or google-benchmark"
+minimal="$repo/build-minimal"
+rm -rf "$minimal"
+cmake -B "$minimal" -S "$repo" -DHPLX_WERROR=ON -DHPLX_BUILD_TESTS=OFF \
+  -DHPLX_BUILD_BENCH=OFF -DHPLX_BUILD_EXAMPLES=OFF \
+  -DCMAKE_DISABLE_FIND_PACKAGE_GTest=ON \
+  -DCMAKE_DISABLE_FIND_PACKAGE_benchmark=ON >/dev/null
+cmake --build "$minimal" -j "$jobs"
+rm -rf "$minimal"
 
 if [ "${SKIP_ANALYZE:-0}" = "1" ]; then
   echo "== skipping static-analyzer pass (SKIP_ANALYZE=1)"

@@ -41,9 +41,10 @@ const char* to_string(PipelineMode m);
 /// broadcast, row swaps, trailing update, backsolve — in fp32 (half the
 /// flops' cost on matrix-engine hardware, half the wire and HBM bytes),
 /// then recovers fp64 accuracy with iterative refinement against the
-/// regenerated fp64 operator. MXP16Sim runs the same fp32 kernels but
-/// bills their modeled time at the device's fp16 throughput curve — the
-/// simulation-side stand-in for a tensor-core fp16/bf16 engine.
+/// regenerated fp64 operator. MXP16Sim exists only in the simulator
+/// (sim::ClusterConfig): it prices the fp32 schedule at the device's fp16
+/// throughput curve, the stand-in for a tensor-core fp16/bf16 engine. A
+/// real run rejects it, since it would compute exactly what MXP32 does.
 enum class PrecisionMode { FP64, MXP32, MXP16Sim };
 
 const char* to_string(PrecisionMode p);
@@ -123,26 +124,20 @@ struct HplConfig {
 
   /// Streams in the trailing-update pool: rocHPL's U1/U2 stream split
   /// generalized to N in-order streams. 1 reproduces the seed
-  /// single-stream schedule; with more streams the trailing update is cut
-  /// into column bands fanned out across the pool with event fencing, so
+  /// single-stream schedule; with more streams each update window is cut
+  /// evenly into one column band per usable stream, fenced with events, so
   /// the look-ahead band completes (and releases FACT) while the remaining
   /// bands still compute. Bands never alias columns — results are bitwise
   /// identical for every value. Must be in [1, trace::kMaxUpdateStreams].
   int update_streams = 1;
 
-  /// Column width of one trailing-update band. 0 = split each update
-  /// window evenly, one band per usable pool stream; a nonzero width tiles
-  /// the window at that many columns (more bands than streams round-robin,
-  /// which evens out ragged windows). Any value is bitwise-identical.
-  long update_band_cols = 0;
-
   /// Per-rank simulated accelerator: capacity and cost model.
   std::size_t hbm_bytes = 1ull << 32;  // tests use small N; 4 GiB default
   device::DeviceModel dev_model = device::DeviceModel::mi250x_gcd();
 
-  /// Arithmetic mode (HPL-MxP). FP64 = classic; MXP32/MXP16Sim factor in
-  /// fp32 and iteratively refine the solution to the fp64 residual
-  /// threshold.
+  /// Arithmetic mode (HPL-MxP). FP64 = classic; MXP32 factors in fp32 and
+  /// iteratively refines the solution to the fp64 residual threshold.
+  /// MXP16Sim is simulator-only and rejected here.
   PrecisionMode precision = PrecisionMode::FP64;
 
   /// Iterative-refinement iteration cap for the MxP modes. If the scaled

@@ -646,11 +646,11 @@ class Solver {
     // columns fan out across the whole pool.
     const BandSection la = enqueue_update_bands(
         pool_, u_ready, a_, cur, u, cfg_.nb, jl0, la_cols, in_diag, u_row,
-        tail, cfg_.update_band_cols, BandPlacement::PrimaryOnly);
+        tail, BandPlacement::PrimaryOnly);
     const BandSection rest = enqueue_update_bands(
         pool_, u_ready, a_, cur, u + la_cols * cfg_.nb, cfg_.nb,
         jl0 + la_cols, njl - la_cols, in_diag, u_row, tail,
-        cfg_.update_band_cols, BandPlacement::Spread);
+        BandPlacement::Spread);
     if (next < cfg_.n) make_panel(next, nxt, la_cols > 0 ? la : rest, st);
     rest.join(compute_);
     prev_update_ = la;
@@ -700,7 +700,7 @@ class Solver {
       update2 = enqueue_update_bands(
           pool_, right_ready, a_, cur, u_right_.template data_as<T>(),
           cfg_.nb, right_start_, a_.nloc() - right_start_, in_diag, u_row,
-          tail, cfg_.update_band_cols, BandPlacement::SparePrimary);
+          tail, BandPlacement::SparePrimary);
     };
     if (early_right) enqueue_update2();
 
@@ -711,8 +711,7 @@ class Solver {
     const device::Event la_ready = compute_.record();
     const BandSection la_sec = enqueue_update_bands(
         pool_, la_ready, a_, cur, u_la_.template data_as<T>(), cfg_.nb, jl0,
-        la_cols, in_diag, u_row, tail, cfg_.update_band_cols,
-        BandPlacement::PrimaryOnly);
+        la_cols, in_diag, u_row, tail, BandPlacement::PrimaryOnly);
 
     if (!early_right) enqueue_update2();
 
@@ -737,8 +736,7 @@ class Solver {
     const device::Event left_ready = compute_.record();
     const BandSection left_sec = enqueue_update_bands(
         pool_, left_ready, a_, cur, u_left_.template data_as<T>(), cfg_.nb,
-        left_start, left_cols, in_diag, u_row, tail, cfg_.update_band_cols,
-        BandPlacement::Spread);
+        left_start, left_cols, in_diag, u_row, tail, BandPlacement::Spread);
 
     // RS2 communication, hidden by UPDATE1. Its U unpacks write
     // u_right_ for the next iteration; they are enqueued after
@@ -869,11 +867,6 @@ class Solver {
 HplResult run_mxp(comm::Communicator& world, const HplConfig& cfg) {
   HplConfig lp = cfg;
   lp.verify = false;  // verification happens on the *refined* solution
-  if (cfg.precision == PrecisionMode::MXP16Sim) {
-    // Same fp32 kernels, billed at the fp16/bf16 rate curves: the
-    // simulated-time model of a true half-precision MxP run.
-    lp.dev_model.low_prec = device::Precision::FP16;
-  }
 
   Timer wall;
   wall.start();
@@ -941,6 +934,11 @@ void validate_config(const HplConfig& cfg) {
                  "ir_max_iters must be >= 0, got " << cfg.ir_max_iters);
   HPLX_CHECK_MSG(std::isfinite(cfg.ir_tol) && cfg.ir_tol > 0.0,
                  "ir_tol must be finite and > 0, got " << cfg.ir_tol);
+  // mxp16-sim only re-prices the fp32 schedule, which the simulator does.
+  HPLX_CHECK_MSG(cfg.precision != PrecisionMode::MXP16Sim,
+                 "precision must be fp64 or mxp32 (mxp16-sim is "
+                 "simulator-only: sim::ClusterConfig), got "
+                     << to_string(cfg.precision));
 }
 
 HplResult run_hpl(comm::Communicator& world, const HplConfig& cfg) {

@@ -93,7 +93,7 @@ struct HplResult {
   std::vector<double> stream_busy_seconds;
   std::vector<double> stream_real_seconds;
 
-  /// Mixed-precision outcome (precision = mxp32 / mxp16-sim): how many
+  /// Mixed-precision outcome (precision = mxp32): how many
   /// fp64 iterative-refinement corrections the low-precision solution
   /// took, and whether refinement failed to converge and the run redid
   /// the factorization in full fp64. Zero / false in fp64 mode.

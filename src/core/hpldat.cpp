@@ -142,8 +142,8 @@ constexpr comm::BcastAlgo kBcastCodes[] = {
     comm::BcastAlgo::Ring1, comm::BcastAlgo::Ring1Mod,
     comm::BcastAlgo::Ring2, comm::BcastAlgo::Ring2Mod,
     comm::BcastAlgo::Long,  comm::BcastAlgo::LongMod};
-constexpr PrecisionMode kPrecisions[] = {
-    PrecisionMode::FP64, PrecisionMode::MXP32, PrecisionMode::MXP16Sim};
+constexpr PrecisionMode kPrecisions[] = {PrecisionMode::FP64,
+                                         PrecisionMode::MXP32};
 
 /// The HPL.dat code of `v`, or `fallback` when it has none.
 template <typename V, std::size_t N>
@@ -193,12 +193,7 @@ const ExtensionLine kExtensionLines[] = {
        c.update_streams = r.integer<int>(w, 1, trace::kMaxUpdateStreams);
      },
      [](std::ostream& os, const HplConfig& c) { os << c.update_streams; }, 0},
-    {"update band cols", "hplx extension, 0=even split",
-     [](DatReader& r, const char* w, HplConfig& c) {
-       c.update_band_cols = r.integer(w, 0);
-     },
-     [](std::ostream& os, const HplConfig& c) { os << c.update_band_cols; },
-     0},
+    {"update band cols", nullptr, nullptr, nullptr, 0},
     {"hazard check", "hplx extension, 0=off,1=on",
      [](DatReader& r, const char* w, HplConfig& c) {
        c.hazard_check = r.integer(w, 0, 1) == 1;
@@ -206,7 +201,7 @@ const ExtensionLine kExtensionLines[] = {
      [](std::ostream& os, const HplConfig& c) { os << c.hazard_check; }, 0},
     {"swap wire format", nullptr, nullptr, nullptr, 1},
     {"swap chunk bytes", nullptr, nullptr, nullptr, 262144},
-    {"precision", "hplx extension, fp64|mxp32|mxp16-sim",
+    {"precision", "hplx extension, fp64|mxp32",
      [](DatReader& r, const char*, HplConfig& c) {
        const std::string t = r.token();
        for (PrecisionMode p : kPrecisions) {
@@ -215,8 +210,12 @@ const ExtensionLine kExtensionLines[] = {
            return;
          }
        }
-       HPLX_CHECK_MSG(false, "HPL.dat: precision must be fp64, mxp32 or "
-                             "mxp16-sim, got `" << t << "`");
+       HPLX_CHECK_MSG(false, "HPL.dat: precision must be fp64 or mxp32"
+                                 << (t == to_string(PrecisionMode::MXP16Sim)
+                                         ? " (mxp16-sim is simulator-only: "
+                                           "sim::ClusterConfig)"
+                                         : "")
+                                 << ", got `" << t << "`");
      },
      [](std::ostream& os, const HplConfig& c) {
        os << to_string(c.precision);

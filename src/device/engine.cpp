@@ -10,29 +10,13 @@ namespace hplx::device {
 
 namespace {
 
-// Plain atomics, not a mutex: kernels read the knobs on stream worker
-// threads while run_hpl installs them from rank threads (all ranks store
-// identical values, like the fabric's eager threshold).
+// Plain atomics, not a mutex: kernels read them on stream worker threads
+// while a testing::ScopedEngineConfig may be installing them. Only that
+// seam ever changes the defaults.
 std::atomic<long> g_tile_cols{256};
 std::atomic<int> g_threads{0};
 
 }  // namespace
-
-void configure_engine(const EngineConfig& cfg) {
-  HPLX_CHECK_MSG(cfg.tile_cols >= 1,
-                 "engine tile_cols must be >= 1, got " << cfg.tile_cols);
-  HPLX_CHECK_MSG(cfg.threads >= 0,
-                 "engine threads must be >= 0, got " << cfg.threads);
-  g_tile_cols.store(cfg.tile_cols, std::memory_order_relaxed);
-  g_threads.store(cfg.threads, std::memory_order_relaxed);
-}
-
-EngineConfig engine_config() {
-  EngineConfig cfg;
-  cfg.tile_cols = g_tile_cols.load(std::memory_order_relaxed);
-  cfg.threads = g_threads.load(std::memory_order_relaxed);
-  return cfg;
-}
 
 void run_column_tiles(long n,
                       const std::function<void(long c0, long c1)>& body) {
@@ -66,6 +50,21 @@ void run_column_tiles(long n,
   }
 
   for (long c0 = 0; c0 < n; c0 += tile) body(c0, std::min(n, c0 + tile));
+}
+
+testing::ScopedEngineConfig::ScopedEngineConfig(long tile_cols, int threads)
+    : saved_tile_cols_(g_tile_cols.load(std::memory_order_relaxed)),
+      saved_threads_(g_threads.load(std::memory_order_relaxed)) {
+  HPLX_CHECK_MSG(tile_cols >= 1,
+                 "engine tile_cols must be >= 1, got " << tile_cols);
+  HPLX_CHECK_MSG(threads >= 0, "engine threads must be >= 0, got " << threads);
+  g_tile_cols.store(tile_cols, std::memory_order_relaxed);
+  g_threads.store(threads, std::memory_order_relaxed);
+}
+
+testing::ScopedEngineConfig::~ScopedEngineConfig() {
+  g_tile_cols.store(saved_tile_cols_, std::memory_order_relaxed);
+  g_threads.store(saved_threads_, std::memory_order_relaxed);
 }
 
 }  // namespace hplx::device

@@ -22,33 +22,32 @@
 
 namespace hplx::device {
 
-/// Process-global kernel-engine knobs. The solver runs with the defaults
-/// below; the kernel benchmarks and engine tests sweep them.
-struct EngineConfig {
-  /// Column-tile width in matrix columns. Bounds the per-tile working set
-  /// and sets the parallel grain; must be >= 1.
-  long tile_cols = 256;
-
-  /// Team members a kernel may use: 0 = every member of the leased BLAS
-  /// team, 1 = always sequential, n > 1 = at most n members.
-  int threads = 0;
-};
-
-/// Install the engine configuration (process-global, like
-/// blas::set_num_threads: ranks are threads, so per-rank engines would
-/// multiply the worker count). Safe to call concurrently with running
-/// kernels; in-flight kernels finish with the configuration they started
-/// with.
-void configure_engine(const EngineConfig& cfg);
-
-/// The currently installed configuration.
-EngineConfig engine_config();
-
-/// Run body(c0, c1) for every column tile [c0, c1) of [0, n), tiled at
-/// engine_config().tile_cols. Tiles run over the leased BLAS team when it
-/// is free (sequentially otherwise); `body` must be safe to invoke
+/// Run body(c0, c1) for every column tile [c0, c1) of [0, n), 256 columns
+/// wide. Tiles run over every member of the leased BLAS team when it is
+/// free (sequentially otherwise); `body` must be safe to invoke
 /// concurrently for disjoint column ranges and must write each output
 /// element from exactly one tile.
 void run_column_tiles(long n, const std::function<void(long c0, long c1)>& body);
+
+namespace testing {
+
+/// Test-only seam for the engine property tests. While an instance lives,
+/// run_column_tiles cuts `tile_cols`-wide tiles (>= 1) and uses at most
+/// `threads` team members (0 = all, 1 = always sequential); the destructor
+/// restores the previous values. Process-wide, so it reaches the kernels
+/// run_hpl enqueues; never use it outside tests.
+class ScopedEngineConfig {
+ public:
+  ScopedEngineConfig(long tile_cols, int threads);
+  ~ScopedEngineConfig();
+  ScopedEngineConfig(const ScopedEngineConfig&) = delete;
+  ScopedEngineConfig& operator=(const ScopedEngineConfig&) = delete;
+
+ private:
+  long saved_tile_cols_;
+  int saved_threads_;
+};
+
+}  // namespace testing
 
 }  // namespace hplx::device

@@ -69,11 +69,9 @@ Event Stream::record() {
   // read it without locking.
   if (hz_ != nullptr)
     state->hazard = std::make_shared<EventHazard>(hz_->on_record(hz_id_));
-  Stream* self = this;
-  enqueue(0.0, [state, self] {
+  enqueue(0.0, [state] {
     std::lock_guard<std::mutex> lock(state->mutex);
     state->done = true;
-    state->modeled_time = self->busy_seconds();
     state->cv.notify_all();
   });
   return ev;
@@ -108,12 +106,6 @@ double Stream::busy_seconds() const {
 double Stream::real_busy_seconds() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return real_busy_seconds_;
-}
-
-void Stream::reset_busy() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  busy_seconds_ = 0.0;
-  real_busy_seconds_ = 0.0;
 }
 
 void Stream::worker_loop() {
@@ -157,34 +149,15 @@ Stream& StreamPool::stream(int i) {
   return *streams_[static_cast<std::size_t>(i)];
 }
 
-void StreamPool::fan_out(const Event& ev) {
-  for (int i = 1; i < size(); ++i) stream(i).wait_event(ev);
-}
-
-Event StreamPool::fan_in() {
-  for (int i = 1; i < size(); ++i) primary().wait_event(stream(i).record());
-  return primary().record();
-}
-
 void StreamPool::synchronize() {
-  // Primary last: its queue may hold fan-in waits on the other streams.
+  // Primary last: its queue may hold band-section joins on the others.
   for (int i = size() - 1; i >= 0; --i) stream(i).synchronize();
-}
-
-double StreamPool::busy_seconds() const {
-  double t = 0.0;
-  for (const auto& s : streams_) t += s->busy_seconds();
-  return t;
 }
 
 double StreamPool::real_busy_seconds() const {
   double t = 0.0;
   for (const auto& s : streams_) t += s->real_busy_seconds();
   return t;
-}
-
-void StreamPool::reset_busy() {
-  for (const auto& s : streams_) s->reset_busy();
 }
 
 }  // namespace hplx::device

@@ -51,7 +51,6 @@ class Event {
     std::mutex mutex;
     std::condition_variable cv;
     bool done = false;
-    double modeled_time = 0.0;  ///< stream virtual clock at completion
     /// Happens-before payload, set once at record() before the handle
     /// escapes; null when tracking is off.
     std::shared_ptr<EventHazard> hazard;
@@ -100,9 +99,6 @@ class Stream {
   /// what the calibrated figures use).
   double real_busy_seconds() const;
 
-  /// Reset both busy clocks (between benchmark iterations).
-  void reset_busy();
-
  private:
   struct Op {
     double modeled = 0.0;
@@ -134,10 +130,10 @@ class Stream {
 /// A fixed set of in-order streams used to fan the banded trailing update
 /// out across the device (the generalization of rocHPL's U1/U2 stream
 /// split). Stream 0 is the *primary* stream: the one the driver's
-/// row-swap gather/scatter and U assembly run on, and the join point for
-/// fan-in. The pool only groups streams and wires event chains — each
-/// member is an ordinary Stream, so work can also be enqueued on one
-/// member directly.
+/// row-swap gather/scatter and U assembly run on, and the stream banded
+/// sections join back into (core::BandSection). The pool only groups
+/// streams — each member is an ordinary Stream, fenced with
+/// Stream::wait_event like any other.
 class StreamPool {
  public:
   /// Creates `count` streams named `<prefix>0..<prefix>{count-1}`.
@@ -145,28 +141,15 @@ class StreamPool {
 
   int size() const { return static_cast<int>(streams_.size()); }
   Stream& stream(int i);
-  /// Stream 0, the join point of fan_in() and the legacy single stream.
+  /// Stream 0, the join point of banded sections.
   Stream& primary() { return stream(0); }
-
-  /// Fan-out fence: every *non-primary* stream waits for `ev` before
-  /// running subsequently enqueued work. The primary is skipped — an event
-  /// recorded on it earlier is already ordered with its own queue.
-  void fan_out(const Event& ev);
-
-  /// Fan-in barrier: the primary waits for an event recorded on every
-  /// other stream's current tail, then records and returns a completion
-  /// event. Work enqueued on the primary afterwards — and a host waiting
-  /// on the returned event — observes everything enqueued on the pool so
-  /// far.
-  Event fan_in();
 
   /// Host-side: drain every stream.
   void synchronize();
 
-  // Aggregate busy clocks (sums over members; see Stream::busy_seconds).
-  double busy_seconds() const;
+  /// Wall-clock busy seconds summed over the members (see
+  /// Stream::real_busy_seconds).
   double real_busy_seconds() const;
-  void reset_busy();
 
  private:
   std::vector<std::unique_ptr<Stream>> streams_;

@@ -192,18 +192,16 @@ trace::IterationRecord build_iteration(const IterationModel& m,
           : 0.0;
   const double left = std::max(0.0, nloc - la - n2);
 
-  // The host chain: stage the panel down, factor it, stage it back up
-  // and broadcast it along the row. Returns when LBCAST ends.
-  const double xfer1 = m.transfer_seconds(m_panel) / 2.0;  // each way
-  const double fact_cpu = m.fact_compute_seconds(m_panel);
-  const double fact_mpi = m.fact_comm_seconds();
-  const double lbcast = m.lbcast_seconds(m_tail);
-  auto host_chain = [&](Schedule& s, double t) {
-    t = s.bar(kXfer, "panel D2H", t, xfer1);
-    t = s.bar(kCpu, "FACT", t, fact_cpu);
-    t = s.bar(kMpi, "FACT pivots", t, fact_mpi);
-    t = s.bar(kXfer, "panel H2D", t, xfer1);
-    return s.bar(kMpi, "LBCAST", t, lbcast);
+  // The host chain: stage a panel of `rows` local rows down, factor it,
+  // stage it back up and broadcast it along the row with its `tail` rows
+  // below the diagonal block. Returns when LBCAST ends.
+  auto host_chain = [&](Schedule& s, double t, double rows, double tail) {
+    const double xfer = m.transfer_seconds(rows) / 2.0;  // each way
+    t = s.bar(kXfer, "panel D2H", t, xfer);
+    t = s.bar(kCpu, "FACT", t, m.fact_compute_seconds(rows));
+    t = s.bar(kMpi, "FACT pivots", t, m.fact_comm_seconds());
+    t = s.bar(kXfer, "panel H2D", t, xfer);
+    return s.bar(kMpi, "LBCAST", t, m.lbcast_seconds(tail));
   };
 
   Schedule s(events);
@@ -230,7 +228,7 @@ trace::IterationRecord build_iteration(const IterationModel& m,
     const double la_done =
         s.bar(kGpu, "UPDATE(look-ahead)",
               std::max(gpu_pre, d_gathers + la_comm), d_la);
-    const double fact_done = host_chain(s, la_done);
+    const double fact_done = host_chain(s, la_done, m_panel, m_tail);
     const double up2_done = s.bar(kGpu, "UPDATE2 (right)", la_done, d_up2);
     const double rs1_done =
         s.bar(kMpi, "RS1 (left) comm", fact_done, rs1_comm);
@@ -245,20 +243,31 @@ trace::IterationRecord build_iteration(const IterationModel& m,
     // comm, then scatter + U assembly.
     const bool simple = cfg.pipeline == core::PipelineMode::Simple;
     const double d_gather = m.rs_device_seconds(nloc);
-    // Simple runs every phase on the critical path, the host chain first.
-    double t = simple ? host_chain(s, 0.0) : 0.0;
-    t = s.bar(kGpu, simple ? "RS gather" : "RS gather/scatter", t, d_gather);
+    double t = s.bar(kGpu, simple ? "RS gather" : "RS gather/scatter", 0.0,
+                     d_gather);
     t = s.bar(kMpi, "RS comm", t, m.rs_comm_seconds(nloc));
     t = s.bar(kGpu, "RS scatter + U", t, 2.0 * d_gather);
     if (simple) {
-      s.bar(kGpu, "UPDATE", t, m.update_seconds(m_tail, nloc));
+      // Depth 0, as the driver runs it: every phase on the critical path,
+      // the whole-window update first, then the host chain of panel j+1
+      // (its rows are this rank's trailing rows). The last iteration has
+      // no next panel to factor.
+      t = s.bar(kGpu, "UPDATE", t, m.update_seconds(m_tail, nloc));
+      const long next = j + static_cast<long>(jb);
+      if (next < cfg.n) {
+        const long after = std::min<long>(cfg.n, next + cfg.nb);
+        const double next_tail = static_cast<double>(
+            grid::numroc(cfg.n, cfg.nb, prow, cfg.p) -
+            grid::numroc(after, cfg.nb, prow, cfg.p));
+        host_chain(s, t, m_tail, next_tail);
+      }
     } else {
       // Fig. 3: FACT/LBCAST hidden behind the trailing update of the
       // non-look-ahead columns.
       const double la_done =
           s.bar(kGpu, "UPDATE(look-ahead)", t, m.update_seconds(m_tail, la));
       s.bar(kGpu, "UPDATE(rest)", la_done, m.update_seconds(m_tail, nloc - la));
-      host_chain(s, la_done);
+      host_chain(s, la_done, m_panel, m_tail);
     }
   }
 

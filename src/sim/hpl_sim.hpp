@@ -15,9 +15,10 @@
 /// are regenerated.
 ///
 /// Geometry is the exact block-cyclic share of the rank that owns each
-/// iteration's diagonal panel. The cost model keeps its own Simple shape
-/// (FACT of panel j opens iteration j); no test yet ties the simulator's
-/// phase order to the real driver's trace.
+/// iteration's diagonal panel. Simple follows the driver's depth-0 order:
+/// iteration j swaps and updates the whole window, then factors panel j+1
+/// (panel 0's FACT is the driver's prologue, outside every iteration). No
+/// test yet ties the simulator's phase order to the real driver's trace.
 
 #include <string>
 #include <vector>
@@ -42,10 +43,10 @@ struct ClusterConfig {
   int fact_threads = 15;  ///< T per FACT (from the core-sharing plan)
   /// Working precision of the modeled run. mxp32 stores, moves and swaps
   /// 4-byte elements and bills device kernels at the fp32 curve;
-  /// mxp16-sim moves the same 4-byte elements but bills compute at the
-  /// fp16 curve — the same rule the real engine applies via
-  /// DeviceModel::low_prec. Pivot messages keep their 8-byte slots in all
-  /// modes (the wire format does not narrow).
+  /// mxp16-sim, a precision only the simulator prices, moves the same
+  /// 4-byte elements but bills compute at the fp16 curve. Pivot messages
+  /// keep their 8-byte slots in all modes (the wire format does not
+  /// narrow).
   core::PrecisionMode precision = core::PrecisionMode::FP64;
 };
 

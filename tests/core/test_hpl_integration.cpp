@@ -156,6 +156,9 @@ TEST(HplSolve, BadKnobsAreRejectedOnEveryRank) {
       {"ir_tol",
        [](HplConfig& c) { c.ir_tol = std::numeric_limits<double>::infinity(); },
        "inf"},
+      {"precision",
+       [](HplConfig& c) { c.precision = PrecisionMode::MXP16Sim; },
+       "mxp16-sim"},
   };
   for (const Bad& bad : bads) {
     HplConfig cfg = base_cfg(64, 16, 2, 2);

@@ -183,7 +183,7 @@ const char kAllExtensions[] =
     "256          swap tile cols\n"
     "0            kernel threads\n"
     "3            update streams\n"
-    "48           update band cols\n"
+    "0            update band cols\n"
     "1            hazard check\n"
     "1            swap wire format\n"
     "262144       swap chunk bytes\n"
@@ -219,7 +219,6 @@ void expect_same_config(const HplConfig& a, const HplConfig& b) {
   EXPECT_EQ(a.fact_threads, b.fact_threads);
   EXPECT_EQ(a.blas_threads, b.blas_threads);
   EXPECT_EQ(a.update_streams, b.update_streams);
-  EXPECT_EQ(a.update_band_cols, b.update_band_cols);
   EXPECT_EQ(a.hbm_bytes, b.hbm_bytes);
   EXPECT_EQ(a.precision, b.precision);
   EXPECT_EQ(a.ir_max_iters, b.ir_max_iters);
@@ -237,7 +236,6 @@ TEST(HplDat, ParsesEveryExtensionKnob) {
   EXPECT_EQ(c.fact_threads, 4);
   EXPECT_EQ(c.blas_threads, 3);
   EXPECT_EQ(c.update_streams, 3);
-  EXPECT_EQ(c.update_band_cols, 48);
   EXPECT_TRUE(c.hazard_check);
   EXPECT_EQ(c.precision, PrecisionMode::MXP32);
   EXPECT_EQ(c.ir_max_iters, 12);
@@ -326,8 +324,9 @@ TEST(HplDat, FormatWritesRetiredLinesAtTheirValues) {
   const std::string out = format_hpldat(dat);
   for (const char* line :
        {"32768  eager threshold bytes", "256  swap tile cols",
-        "\n0  kernel threads", "1  swap wire format",
-        "262144  swap chunk bytes", "1  alloc pool", "-1  alloc cache bytes"})
+        "\n0  kernel threads", "\n0  update band cols",
+        "1  swap wire format", "262144  swap chunk bytes", "1  alloc pool",
+        "-1  alloc cache bytes"})
     EXPECT_NE(out.find(line), std::string::npos) << line;
   // ...so the formatter's output parses again.
   EXPECT_EQ(expand_configs(parse_hpldat_string(out)).size(),
@@ -508,6 +507,7 @@ TEST(HplDat, RetiredLineWithAnotherValueThrowsNamingTheLine) {
       {"32768        eager threshold bytes", "65536", "eager threshold"},
       {"256          swap tile cols", "0  ", "swap tile cols"},
       {"0            kernel threads", "2", "kernel threads"},
+      {"0            update band cols", "48", "update band cols"},
       {"1            swap wire format", "0", "swap wire format"},
       {"262144       swap chunk bytes", "131072", "swap chunk bytes"},
       {"1            alloc pool", "0", "alloc pool"},
@@ -552,6 +552,20 @@ TEST(HplDat, BadPrecisionThrows) {
           "1 streams\n0 band\n0 hazard\n1 wire\n262144 chunk\n"
           "fp42 precision\n";
   EXPECT_THROW(parse_hpldat_string(text), Error);
+}
+
+TEST(HplDat, SimulatorOnlyPrecisionThrowsSayingSo) {
+  std::string text = std::string(kClassic) + kAllExtensions;
+  const auto pos = text.find("mxp32        precision");
+  ASSERT_NE(pos, std::string::npos);
+  text.replace(pos, 5, "mxp16-sim");
+  try {
+    parse_hpldat_string(text);
+    ADD_FAILURE() << "precision mxp16-sim parsed";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("simulator-only"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(HplDat, TruncatedFileThrows) {

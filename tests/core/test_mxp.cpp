@@ -74,15 +74,6 @@ INSTANTIATE_TEST_SUITE_P(
                       Param{1, 1, 37, 8, PipelineMode::LookaheadSplit},
                       Param{2, 2, 32, 32, PipelineMode::Lookahead}));
 
-TEST(Mxp, Mxp16SimRefinesToo) {
-  HplConfig cfg = base_cfg(128, 16, 2, 2);
-  cfg.precision = PrecisionMode::MXP16Sim;
-  const HplResult r = run(cfg);
-  EXPECT_TRUE(r.verify.passed) << "residual=" << r.verify.residual;
-  EXPECT_FALSE(r.ir_fallback);
-  EXPECT_GE(r.ir_iters, 1);
-}
-
 TEST(Mxp, UnreachableToleranceFallsBackToFp64) {
   HplConfig cfg = base_cfg(96, 16, 1, 1);
   cfg.ir_tol = 1e-12;  // below what any refinement can reach
@@ -168,7 +159,7 @@ TEST(Mxp, HazardSweepIsClean) {
 }
 
 // The per-precision throughput curves must order the modeled device time:
-// fp16-billed ≤ fp32-billed ≤ fp64, on identical schedules.
+// fp32-billed ≤ fp64, on identical schedules.
 TEST(Mxp, ModeledDeviceTimeOrdersByPrecision) {
   auto modeled_busy = [&](PrecisionMode prec) {
     HplConfig cfg = base_cfg(128, 16, 1, 1);
@@ -181,10 +172,8 @@ TEST(Mxp, ModeledDeviceTimeOrdersByPrecision) {
   };
   const double t64 = modeled_busy(PrecisionMode::FP64);
   const double t32 = modeled_busy(PrecisionMode::MXP32);
-  const double t16 = modeled_busy(PrecisionMode::MXP16Sim);
   EXPECT_GT(t64, 0.0);
   EXPECT_LE(t32, t64);
-  EXPECT_LE(t16, t32);
 }
 
 }  // namespace

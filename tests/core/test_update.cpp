@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "comm/world.hpp"
@@ -106,6 +107,78 @@ TEST(Update, MismatchedL2RowsDetected) {
     EXPECT_THROW(
         enqueue_tail_gemm(stream, a, panel, u.data(), 8, 8, 9, 8),
         Error);
+  });
+}
+
+TEST(Update, BandsCutOneBandPerUsableStream) {
+  // enqueue_update_bands splits the window evenly over the streams its
+  // placement may use — one band, and one completion event, per stream
+  // that receives columns — and every cut reproduces the single-stream
+  // update bit for bit.
+  const long n = 24;
+  const int nb = 8;
+  comm::World::run(1, [&](comm::Communicator& world) {
+    grid::ProcessGrid g(world, 1, 1);
+    device::Device dev("d", 1ull << 24);
+    device::StreamPool pool(dev, 3, "band");
+    testref::Rand rng(17);
+    PanelData panel;
+    panel.j = 0;
+    panel.resize(nb, n - nb);
+    for (auto& v : panel.top) v = rng.next();
+    for (auto& v : panel.l2) v = rng.next();
+    std::vector<double> u0(static_cast<std::size_t>(nb) * (n + 1 - nb));
+    for (auto& v : u0) v = rng.next();
+
+    // Updates local columns [nb, nb + njl) of a fresh matrix and returns
+    // the whole local matrix and the number of completion events.
+    auto update = [&](long njl, const BandPlacement* placement) {
+      DistMatrix a(dev, g, n, nb, 3);
+      std::vector<double> u = u0;
+      std::size_t events = 0;
+      if (placement == nullptr) {
+        enqueue_u_update(pool.primary(), a, panel, u.data(), nb, nb, njl,
+                         true, 0);
+        enqueue_tail_gemm(pool.primary(), a, panel, u.data(), nb, nb, njl,
+                          nb);
+      } else {
+        const device::Event ready = pool.primary().record();
+        const BandSection sec =
+            enqueue_update_bands(pool, ready, a, panel, u.data(), nb, nb,
+                                 njl, true, 0, nb, *placement);
+        sec.join(pool.primary());
+        events = sec.done.size();
+      }
+      pool.synchronize();
+      std::vector<double> out(static_cast<std::size_t>(a.lda() * a.nloc()));
+      for (long jl = 0; jl < a.nloc(); ++jl)
+        for (long il = 0; il < a.mloc(); ++il)
+          out[static_cast<std::size_t>(jl * a.lda() + il)] = *a.at(il, jl);
+      return std::make_pair(out, events);
+    };
+
+    struct Case {
+      long njl;
+      BandPlacement placement;
+      std::size_t bands;
+    };
+    const Case cases[] = {
+        {17, BandPlacement::Spread, 3},        // widths 6, 6, 5
+        {17, BandPlacement::SparePrimary, 2},  // streams 1 and 2
+        {17, BandPlacement::PrimaryOnly, 1},
+        {2, BandPlacement::Spread, 2},  // fewer columns than streams
+    };
+    for (const Case& c : cases) {
+      SCOPED_TRACE(::testing::Message() << "njl=" << c.njl << " placement="
+                                        << static_cast<int>(c.placement));
+      const auto want = update(c.njl, nullptr).first;
+      const auto [got, events] = update(c.njl, &c.placement);
+      EXPECT_EQ(events, c.bands);
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            got.size() * sizeof(double)),
+                0);
+    }
   });
 }
 

@@ -95,7 +95,6 @@ constexpr auto kFull = PivotMode::Full;
 constexpr auto kNone = PivotMode::None;
 constexpr auto kF64 = PrecisionMode::FP64;
 constexpr auto kM32 = PrecisionMode::MXP32;
-constexpr auto kM16 = PrecisionMode::MXP16Sim;
 
 INSTANTIATE_TEST_SUITE_P(
     FactPivotRhsPrecision, VariantSweep,
@@ -112,8 +111,7 @@ INSTANTIATE_TEST_SUITE_P(
         Param{kR, kR, kNone, 3, kF64, 2}, Param{kV, kR, kNone, 8, kF64, 3},
         // Mixed precision composes with both the pivot mode and nrhs.
         Param{kV, kR, kFull, 1, kM32, 1}, Param{kV, kR, kNone, 1, kM32, 2},
-        Param{kC, kC, kFull, 3, kM32, 1}, Param{kR, kR, kNone, 4, kM32, 2},
-        Param{kV, kR, kNone, 2, kM16, 1}));
+        Param{kC, kC, kFull, 3, kM32, 1}, Param{kR, kR, kNone, 4, kM32, 2}));
 
 // Full pivoting on a multi-rank process column does put row swaps on the
 // wire — the zero-bytes assertion above is meaningful, not vacuous.

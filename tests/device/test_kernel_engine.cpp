@@ -4,10 +4,11 @@
 /// naive sequential reference for any tile width and team size, because a
 /// tile covers whole columns and each output element is written by exactly
 /// one tile. Also checks end to end that run_hpl residuals do not change
-/// with the installed engine configuration.
+/// with the engine configuration testing::ScopedEngineConfig installs.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <numeric>
@@ -19,6 +20,7 @@
 #include "device/engine.hpp"
 #include "device/kernels.hpp"
 #include "device/stream.hpp"
+#include "util/error.hpp"
 
 namespace hplx::device {
 namespace {
@@ -28,15 +30,10 @@ Device& test_device() {
   return dev;
 }
 
-/// Restores the process-global engine + team configuration that the tests
-/// mutate, so suites sharing the binary see the defaults.
-struct EngineState {
-  EngineState() : saved(engine_config()) {}
-  ~EngineState() {
-    configure_engine(saved);
-    blas::set_num_threads(1);
-  }
-  EngineConfig saved;
+/// Restores the process-global BLAS team the tests resize, so suites
+/// sharing the binary see the default.
+struct TeamState {
+  ~TeamState() { blas::set_num_threads(1); }
 };
 
 std::uint64_t xorshift(std::uint64_t& s) {
@@ -99,7 +96,7 @@ struct Shape {
 const Shape kShapes[] = {{37, 5, 23}, {128, 32, 96}, {301, 64, 257}};
 
 TEST(KernelEngine, RowGatherScatterMatchNaive) {
-  EngineState restore;
+  TeamState restore;
   for (const Shape& sh : kShapes) {
     const long lda = sh.m + 3;
     const auto a0 = random_matrix(lda, sh.n, 11 * sh.m);
@@ -117,7 +114,7 @@ TEST(KernelEngine, RowGatherScatterMatchNaive) {
                                           << " n=" << sh.n << " tile=" << tile
                                           << " team=" << team);
         blas::set_num_threads(team);
-        configure_engine({tile, 0});
+        testing::ScopedEngineConfig engine(tile, 0);
         Stream s(test_device());
 
         std::vector<double> gout(static_cast<std::size_t>(sh.jb) * sh.n, -7.0);
@@ -135,7 +132,7 @@ TEST(KernelEngine, RowGatherScatterMatchNaive) {
 }
 
 TEST(KernelEngine, RowGatherScatterStridedWireMatchNaive) {
-  EngineState restore;
+  TeamState restore;
   // A wire leading dimension wider than the row count: the padding of the
   // gather output must stay untouched and the scatter must not read it.
   for (const Shape& sh : kShapes) {
@@ -155,7 +152,7 @@ TEST(KernelEngine, RowGatherScatterStridedWireMatchNaive) {
                                           << " n=" << sh.n << " tile=" << tile
                                           << " team=" << team);
         blas::set_num_threads(team);
-        configure_engine({tile, 0});
+        testing::ScopedEngineConfig engine(tile, 0);
         Stream s(test_device());
 
         std::vector<double> gout(static_cast<std::size_t>(ldw) * sh.n, -7.0);
@@ -173,7 +170,7 @@ TEST(KernelEngine, RowGatherScatterStridedWireMatchNaive) {
 }
 
 TEST(KernelEngine, CopyKernelsMatchAcrossTilesAndTeams) {
-  EngineState restore;
+  TeamState restore;
   const long m = 190, n = 170, lds = m + 5, ldd = m + 2;
   const auto src = random_matrix(lds, n, 41);
   std::vector<double> want(static_cast<std::size_t>(ldd) * n, 0.0);
@@ -184,7 +181,7 @@ TEST(KernelEngine, CopyKernelsMatchAcrossTilesAndTeams) {
     for (int team : kTeamSizes) {
       SCOPED_TRACE(::testing::Message() << "tile=" << tile << " team=" << team);
       blas::set_num_threads(team);
-      configure_engine({tile, 0});
+      testing::ScopedEngineConfig engine(tile, 0);
       Stream s(test_device());
       std::vector<double> d1(static_cast<std::size_t>(ldd) * n, 0.0);
       copy_matrix(s, m, n, src.data(), lds, d1.data(), ldd);
@@ -204,8 +201,33 @@ TEST(KernelEngine, CopyKernelsMatchAcrossTilesAndTeams) {
   }
 }
 
+TEST(KernelEngine, ScopedConfigRejectsBadValuesAndRestoresOnExit) {
+  TeamState restore;
+  blas::set_num_threads(2);
+  const long n = 600;  // three default tiles, or a hundred 6-wide ones
+  std::atomic<int> tiles{0};
+  auto count_tiles = [&] {
+    tiles = 0;
+    run_column_tiles(n, [&](long, long) { ++tiles; });
+    return tiles.load();
+  };
+  EXPECT_EQ(count_tiles(), 3);
+  {
+    testing::ScopedEngineConfig outer(6, 1);
+    EXPECT_EQ(count_tiles(), 100);
+    EXPECT_THROW(testing::ScopedEngineConfig(0, 0), Error);
+    EXPECT_THROW(testing::ScopedEngineConfig(8, -1), Error);
+    {
+      testing::ScopedEngineConfig inner(300, 0);
+      EXPECT_EQ(count_tiles(), 2);
+    }
+    EXPECT_EQ(count_tiles(), 100);
+  }
+  EXPECT_EQ(count_tiles(), 3);
+}
+
 TEST(KernelEngine, SolverResidualBitwiseIdenticalAcrossEngineConfigs) {
-  EngineState restore;
+  TeamState restore;
   // The engine must never change the numerics, only the schedule: the same
   // solve under every tile/team configuration has to reproduce the exact
   // residual double of the sequential default.
@@ -224,7 +246,7 @@ TEST(KernelEngine, SolverResidualBitwiseIdenticalAcrossEngineConfigs) {
     cfg.q = 1;
     cfg.pipeline = core::PipelineMode::LookaheadSplit;
     cfg.blas_threads = c.threads == 0 ? 2 : c.threads;
-    configure_engine({c.tile, c.threads});
+    testing::ScopedEngineConfig engine(c.tile, c.threads);
     core::HplResult result;
     comm::World::run(1, [&](comm::Communicator& world) {
       result = core::run_hpl(world, cfg);

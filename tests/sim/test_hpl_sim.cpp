@@ -253,6 +253,37 @@ TEST(HplSim, RecordIsTheFoldOfItsTimeline) {
   }
 }
 
+TEST(HplSim, SimpleFactorsTheNextPanelAfterTheUpdate) {
+  // The driver's Simple is look-ahead depth 0: iteration j updates the
+  // whole window, then factors panel j+1. The last iteration has no next
+  // panel, so it lays no host-chain bar at all.
+  const NodeModel node = NodeModel::crusher();
+  ClusterConfig cfg = crusher_config(node, 1);
+  cfg.pipeline = core::PipelineMode::Simple;
+  const int last = static_cast<int>((cfg.n + cfg.nb - 1) / cfg.nb) - 1;
+  auto bar = [](const std::vector<TimelineEvent>& ev, const char* label) {
+    const auto it = std::find_if(ev.begin(), ev.end(), [&](const auto& e) {
+      return e.label == label;
+    });
+    return it == ev.end() ? nullptr : &*it;
+  };
+  for (const int iter : {0, 100, 400}) {
+    SCOPED_TRACE(iter);
+    const auto ev = iteration_timeline(node, cfg, iter);
+    const TimelineEvent* update = bar(ev, "UPDATE");
+    const TimelineEvent* fact = bar(ev, "FACT");
+    ASSERT_NE(update, nullptr);
+    ASSERT_NE(fact, nullptr);
+    EXPECT_GE(fact->start, update->end);
+  }
+  const auto tail = iteration_timeline(node, cfg, last);
+  for (const char* label :
+       {"panel D2H", "FACT", "FACT pivots", "panel H2D", "LBCAST"})
+    EXPECT_EQ(bar(tail, label), nullptr) << label;
+  const SimResult r = simulate_hpl(node, cfg);
+  EXPECT_EQ(r.trace.iterations.back().fact_s, 0.0);
+}
+
 TEST(HplSim, BadSplitFractionIsRejected) {
   const NodeModel node = NodeModel::crusher();
   for (const double bad : {std::nan(""), 1.5}) {
