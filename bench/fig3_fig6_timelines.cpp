@@ -86,8 +86,8 @@ int main(int argc, char** argv) {
 
   std::printf(
       "\nFIG6: split-update iteration timeline (same iteration) — note the "
-      "RS\ncommunications now sit under UPDATE2/UPDATE1 instead of the "
-      "critical path\n\n");
+      "RS\ncommunications now sit under UPDATE2/UPDATE1 (UPDATE(right) / "
+      "UPDATE(left))\ninstead of the critical path\n\n");
   cfg.pipeline = core::PipelineMode::LookaheadSplit;
   render(sim::iteration_timeline(node, cfg, iter), width);
 

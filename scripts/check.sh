@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # One-command tier-1 gate: configure + build + full ctest in the default
-# build (warnings-as-errors for src/), then rebuild the concurrency-heavy
+# build (warnings-as-errors for src/) and a check that no ctest name embeds
+# a parameter struct's raw bytes, then rebuild the concurrency-heavy
 # suites (ctest label "tsan": util/blas/comm/device + the allgatherv
 # transport, solver integration and mixed-precision suites) under
 # ThreadSanitizer, then the allocation-heavy suites (ctest label "asan":
@@ -47,6 +48,16 @@ echo "== tier-1: build + ctest ($build)"
 cmake -B "$build" -S "$repo" -DHPLX_WERROR=ON >/dev/null
 cmake --build "$build" -j "$jobs"
 ctest --test-dir "$build" --output-on-failure -j "$jobs"
+
+echo "== stable test names: no parameter printed as raw struct bytes"
+# gtest prints a parameter struct without a PrintTo as its raw bytes,
+# padding included, so such a test's name changes from build to build.
+dumped=$(ctest --test-dir "$build" -N | grep -E '[0-9][0-9]+-byte object <' || true)
+if [ -n "$dumped" ]; then
+  echo "tests named by a raw struct dump (give the struct a PrintTo):"
+  echo "$dumped"
+  exit 1
+fi
 
 echo "== mxp gate: ctest -L mxp ($build)"
 ctest --test-dir "$build" --output-on-failure -j "$jobs" -L mxp

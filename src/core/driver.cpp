@@ -6,7 +6,6 @@
 #include <cstring>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -20,6 +19,7 @@
 #include "core/pfact.hpp"
 #include "core/refine.hpp"
 #include "core/rowswap.hpp"
+#include "core/schedule.hpp"
 #include "core/update.hpp"
 #include "device/alloc.hpp"
 #include "device/kernels.hpp"
@@ -85,22 +85,19 @@ class Solver {
         pool_(dev_, cfg.update_streams, "compute"),
         compute_(pool_.primary()),
         data_(dev_, "data"),
-        team_(cfg.fact_threads) {
+        team_(cfg.fact_threads),
+        schedule_(cfg.pipeline, a_.nloc(), cfg.split_fraction, cfg.nb) {
     const std::size_t ucap = static_cast<std::size_t>(cfg.nb) *
                              static_cast<std::size_t>(std::max<long>(a_.nloc(), 1));
-    u_main_ = dev_.alloc_elems<T>(ucap);
-    u_la_ = dev_.alloc_elems<T>(ucap);
-    u_left_ = dev_.alloc_elems<T>(ucap);
-    u_right_ = dev_.alloc_elems<T>(ucap);
-    rs_right_ = std::make_unique<RowSwapperT<T>>();
-    rs_right_next_ = std::make_unique<RowSwapperT<T>>();
     // All swap staging and panel scratch is reserved once at its maximum
     // size here; the per-iteration prepare()/resize() calls then reuse the
     // same allocations instead of reallocating (and re-zeroing) per panel.
-    for (RowSwapperT<T>* rs : {&rs_main_, &rs_la_, &rs_left_,
-                               rs_right_.get(), rs_right_next_.get()}) {
-      rs->reserve(dev_.host_arena(), cfg.nb, a_.nloc(), cfg.p);
-      rs->set_pivot_mode(cfg.pivoting);
+    for (int w = 0; w < kSections; ++w) {
+      if (w == kRest) continue;
+      if (w != kNextRight) u_[w] = dev_.alloc_elems<T>(ucap);
+      rs_[w] = &swappers_[w];
+      swappers_[w].reserve(dev_.host_arena(), cfg.nb, a_.nloc(), cfg.p);
+      swappers_[w].set_pivot_mode(cfg.pivoting);
     }
     w_.reserve(static_cast<std::size_t>(std::max<long>(a_.mloc(), 1)) *
                static_cast<std::size_t>(cfg.nb));
@@ -130,35 +127,20 @@ class Solver {
     wall.start();
 
     // One factorization loop for every PipelineMode; the mode picks only
-    // the iteration's shape. Simple is the look-ahead loop at depth 0 plus
-    // a host drain per iteration, Lookahead is depth 1 (Fig. 3), and
-    // LookaheadSplit runs Fig. 6 while a left section remains.
+    // the iteration's shape (core/schedule.hpp), which Steps executes.
     {
       PanelDataT<T> panel_a, panel_b;
       panel_a.reserve(cfg_.nb, a_.mloc());
       panel_b.reserve(cfg_.nb, a_.mloc());
       PanelDataT<T>* cur = &panel_a;
       PanelDataT<T>* nxt = &panel_b;
-      const bool split = cfg_.pipeline == PipelineMode::LookaheadSplit;
 
-      // Prologue: factor + broadcast panel 0 (exposed, once). Under the
-      // split update the right section starts at local column csplit_ (a
-      // multiple of NB) and its row swaps run one iteration ahead, so panel
-      // 0's right-section swap is communicated here too.
+      // Prologue: factor + broadcast panel 0 (exposed, once); under the
+      // split update also communicate iteration 0's right-section swap.
       IterStats pro;
-      make_panel(0, *cur, BandSection{}, pro);
-      bool pending_right = false;
-      if (split) {
-        const long want_left = static_cast<long>(
-            static_cast<double>(a_.nloc()) * (1.0 - cfg_.split_fraction));
-        csplit_ = std::clamp<long>((want_left / cfg_.nb) * cfg_.nb, 0,
-                                   a_.nloc());
-        right_start_ = start_right_swap(0, *cur, plan_, *rs_right_);
-        rs_right_->communicate(grid_.col_comm(), &pro.mpi, compute_,
-                               u_right_.template data_as<T>(), cfg_.nb,
-                               &pro.rs);
-        pending_right = true;
-      }
+      const IterationPlan first = schedule_.plan(geometry(0));
+      Steps prologue(*this, first, 0, 0, *cur, *cur, pro);
+      run_prologue(prologue, first);
       add_totals(pro);
 
       int iter = 0;
@@ -170,18 +152,14 @@ class Solver {
         const double xfer0 = data_.real_busy_seconds();
         snapshot_stream_clocks();
 
-        if (split && col_of(j + jb_at(j)) < right_start_) {
-          pending_right = iterate_split(j, *cur, *nxt, st, pending_right);
-        } else {
-          iterate_lookahead(j, *cur, *nxt, st, pending_right);
-          pending_right = false;
-        }
-        // The look-ahead shapes never block the host here: each iterate_*
-        // joins its banded sections back into the primary stream, so the
-        // next iteration's gathers are event-ordered behind this one's
-        // update while the host runs ahead. Simple drains instead, so no
-        // phase of one iteration overlaps another.
-        if (cfg_.pipeline == PipelineMode::Simple) pool_.synchronize();
+        // The look-ahead shapes never block the host here: each joins its
+        // banded sections back into the primary stream, so the next
+        // iteration's gathers are event-ordered behind this one's update
+        // while the host runs ahead.
+        const IterationPlan p = schedule_.plan(geometry(j));
+        Steps steps(*this, p, j, j + jb_at(j), *cur, *nxt, st);
+        run_iteration(steps, p);
+        prev_update_ = std::move(steps.updated);
         std::swap(cur, nxt);
 
         record_iteration(j, iter, t_iter.stop(),
@@ -377,20 +355,6 @@ class Solver {
     panel_broadcast(grid_.row_comm(), cfg_.bcast, a_.cols().owner(j), panel,
                     &st.mpi, &cfg_.custom_bcast);
     record_pivots(panel);
-  }
-
-  /// Plan panel `j`'s row swaps into `plan` and start its right-section
-  /// swap on `rs`: prepare the window from max(csplit_, first trailing
-  /// column) to the end and gather its rows. Returns the window's first
-  /// local column.
-  long start_right_swap(long j, const PanelDataT<T>& panel, RowSwapPlan& plan,
-                        RowSwapperT<T>& rs) {
-    const int jb = jb_at(j);
-    build_rowswap_plan(j, jb, panel.ipiv.data(), plan);
-    const long start = std::max<long>(csplit_, col_of(j + jb));
-    rs.prepare(plan, a_, grid_.myrow(), start, a_.nloc() - start);
-    rs.gather(compute_, a_);
-    return start;
   }
 
   /// Latch every pool stream's busy clocks at iteration start so
@@ -595,169 +559,99 @@ class Solver {
 
   // ---------------------------------------------------- iteration shapes
 
-  /// Local columns of the look-ahead band for the panel at `next`: the
-  /// panel's own columns on its owning column when the pipeline looks
-  /// ahead, none otherwise (no next panel, another owner, or Simple's
-  /// depth 0).
-  long lookahead_cols(long next) const {
-    if (next >= cfg_.n || !my_col(next) ||
-        cfg_.pipeline == PipelineMode::Simple)
-      return 0;
-    return col_of(next + jb_at(next)) - col_of(next);
+  /// Where iteration `j` sits in this rank's local columns.
+  IterationGeometry geometry(long j) const {
+    const long next = j + jb_at(j);
+    IterationGeometry g;
+    g.first = j == 0;
+    g.panel_col = col_of(j);
+    g.jl0 = col_of(next);
+    g.has_next = next < cfg_.n;
+    g.next_cols = g.has_next ? col_of(next + jb_at(next)) - g.jl0 : 0;
+    g.nloc = a_.nloc();
+    return g;
   }
 
-  /// One look-ahead iteration. At depth 1 it is Fig. 3: row swap exposed,
-  /// FACT/LBCAST of the next panel hidden behind the trailing update. At
-  /// depth 0 (Simple) there is no look-ahead band: every rank updates the
-  /// whole window and the next panel's owner factors it after the bands
-  /// finish. When `use_pending` is set, the row swap of the whole window
-  /// was already communicated by the split-update machinery and only needs
-  /// scattering.
-  void iterate_lookahead(long j, PanelDataT<T>& cur, PanelDataT<T>& nxt,
-                         IterStats& st, bool use_pending) {
-    const int jb = jb_at(j);
-    const long next = j + jb;
-    const long jl0 = col_of(next);
-    const long njl = a_.nloc() - jl0;
-    const long la_cols = lookahead_cols(next);
+  /// The driver's engine for the shared iteration schedule: each step
+  /// enqueues iteration `j`'s real work. Updates read panel `cur`;
+  /// make_panel fills `nxt` with panel `next`.
+  class Steps {
+   public:
+    using Event = device::Event;
+    using Done = BandSection;
 
-    T* u = u_main_.template data_as<T>();
-    if (use_pending) {
-      HPLX_CHECK(right_start_ == jl0);
-      rs_right_->scatter(compute_, a_, u_right_.template data_as<T>(),
-                         cfg_.nb);
-      u = u_right_.template data_as<T>();
-    } else {
-      build_rowswap_plan(j, jb, cur.ipiv.data(), plan_);
-      rs_main_.prepare(plan_, a_, grid_.myrow(), jl0, njl);
-      rs_main_.gather(compute_, a_);
-      rs_main_.communicate(grid_.col_comm(), &st.mpi, compute_, u, cfg_.nb,
-                           &st.rs);
-      rs_main_.scatter(compute_, a_, u, cfg_.nb);
+    Steps(Solver& s, const IterationPlan& p, long j, long next,
+          PanelDataT<T>& cur, PanelDataT<T>& nxt, IterStats& st)
+        : s_(s), p_(p), j_(j), next_(next), cur_(cur), nxt_(nxt), st_(st) {}
+
+    int streams() const { return s_.pool_.size(); }
+
+    /// Plans the swaps first: the next right window's are panel j+1's, the
+    /// left window reuses the look-ahead band's plan of panel j.
+    void gather(Section w) {
+      const bool next = w == Section::NextRight;
+      RowSwapPlan& plan = next ? s_.plan_next_ : s_.plan_;
+      if (next)
+        build_rowswap_plan(next_, s_.jb_at(next_), nxt_.ipiv.data(), plan);
+      else if (w != Section::Left)
+        build_rowswap_plan(j_, s_.jb_at(j_), cur_.ipiv.data(), plan);
+      rs(w).prepare(plan, s_.a_, s_.grid_.myrow(), p_[w].start, p_[w].count);
+      rs(w).gather(s_.compute_, s_.a_);
     }
-    const device::Event u_ready = compute_.record();
-    const bool in_diag = my_row(j);
-    const long u_row = row_of(j);
-    const long tail = row_of(next);
 
-    // Update the look-ahead columns first, on the primary alone, so their
-    // completion event fires the moment the band finishes and FACT starts
-    // while the rest of the window still computes (Fig. 3). The remaining
-    // columns fan out across the whole pool.
-    const BandSection la = enqueue_update_bands(
-        pool_, u_ready, a_, cur, u, cfg_.nb, jl0, la_cols, in_diag, u_row,
-        tail, BandPlacement::PrimaryOnly);
-    const BandSection rest = enqueue_update_bands(
-        pool_, u_ready, a_, cur, u + la_cols * cfg_.nb, cfg_.nb,
-        jl0 + la_cols, njl - la_cols, in_diag, u_row, tail,
-        BandPlacement::Spread);
-    if (next < cfg_.n) make_panel(next, nxt, la_cols > 0 ? la : rest, st);
-    rest.join(compute_);
-    prev_update_ = la;
-    prev_update_.done.insert(prev_update_.done.end(), rest.done.begin(),
-                             rest.done.end());
-  }
-
-  /// One Fig. 6 iteration: the right-section row swap of this panel was
-  /// communicated last iteration; UPDATE2 hides FACT/LBCAST/RS1, UPDATE1
-  /// hides the next panel's RS2. Returns whether a pending right swap
-  /// exists for the next iteration.
-  bool iterate_split(long j, PanelDataT<T>& cur, PanelDataT<T>& nxt,
-                     IterStats& st, bool have_pending) {
-    HPLX_CHECK(have_pending);
-    const int jb = jb_at(j);
-    const long next = j + jb;
-    const bool has_next = next < cfg_.n;
-    const long jl0 = col_of(next);
-    const long la_cols = lookahead_cols(next);
-    const long left_start = jl0 + la_cols;
-    const long left_cols = right_start_ - left_start;
-    HPLX_CHECK(left_cols >= 0);
-    const bool in_diag = my_row(j);
-    const long u_row = row_of(j);
-    const long tail = row_of(next);
-
-    build_rowswap_plan(j, jb, cur.ipiv.data(), plan_);
-
-    // Gather look-ahead + left rows; scatter the pre-communicated right
-    // rows (they must land before UPDATE2 reads the window).
-    rs_la_.prepare(plan_, a_, grid_.myrow(), jl0, la_cols);
-    rs_la_.gather(compute_, a_);
-    rs_left_.prepare(plan_, a_, grid_.myrow(), left_start, left_cols);
-    rs_left_.gather(compute_, a_);
-    rs_right_->scatter(compute_, a_, u_right_.template data_as<T>(),
-                       cfg_.nb);
-    const device::Event right_ready = compute_.record();
-
-    // UPDATE2 (right section) — the work that hides everything below. With
-    // spare streams it launches *now*, off the primary, so the device is
-    // busy during the look-ahead communication; single-stream pools keep
-    // the seed order (look-ahead first, or its completion event — and with
-    // it FACT — would wait behind the whole right section).
-    BandSection update2;
-    const bool early_right = pool_.size() > 1;
-    auto enqueue_update2 = [&] {
-      update2 = enqueue_update_bands(
-          pool_, right_ready, a_, cur, u_right_.template data_as<T>(),
-          cfg_.nb, right_start_, a_.nloc() - right_start_, in_diag, u_row,
-          tail, BandPlacement::SparePrimary);
-    };
-    if (early_right) enqueue_update2();
-
-    // Look-ahead: swap, update on the primary, stage to host.
-    rs_la_.communicate(grid_.col_comm(), &st.mpi, compute_,
-                       u_la_.template data_as<T>(), cfg_.nb, &st.rs);
-    rs_la_.scatter(compute_, a_, u_la_.template data_as<T>(), cfg_.nb);
-    const device::Event la_ready = compute_.record();
-    const BandSection la_sec = enqueue_update_bands(
-        pool_, la_ready, a_, cur, u_la_.template data_as<T>(), cfg_.nb, jl0,
-        la_cols, in_diag, u_row, tail, BandPlacement::PrimaryOnly);
-
-    if (!early_right) enqueue_update2();
-
-    // Hidden by UPDATE2: panel transfer + FACT + LBCAST ...
-    if (has_next) make_panel(next, nxt, la_sec, st);
-    // ... and the RS1 communication (its rows were gathered up front). The
-    // U unpacks land on the primary and only write u_left_, which
-    // nothing reads until UPDATE1's bands (gated on left_ready below).
-    rs_left_.communicate(grid_.col_comm(), &st.mpi, compute_,
-                         u_left_.template data_as<T>(), cfg_.nb, &st.rs);
-
-    // After UPDATE2: gather the next panel's right-section rows (RS2).
-    // The gather reads columns UPDATE2 writes, and UPDATE2's bands live on
-    // other streams now — join them into the primary first.
-    update2.join(compute_);
-    const long next_right_start =
-        has_next ? start_right_swap(next, nxt, plan_next_, *rs_right_next_)
-                 : right_start_;
-
-    // UPDATE1 (left section): scatter RS1 rows, update across the pool.
-    rs_left_.scatter(compute_, a_, u_left_.template data_as<T>(), cfg_.nb);
-    const device::Event left_ready = compute_.record();
-    const BandSection left_sec = enqueue_update_bands(
-        pool_, left_ready, a_, cur, u_left_.template data_as<T>(), cfg_.nb,
-        left_start, left_cols, in_diag, u_row, tail, BandPlacement::Spread);
-
-    // RS2 communication, hidden by UPDATE1. Its U unpacks write
-    // u_right_ for the next iteration; they are enqueued after
-    // update2.join(compute_), so they stay ordered behind this
-    // iteration's reads of u_right_.
-    if (has_next) {
-      rs_right_next_->communicate(grid_.col_comm(), &st.mpi, compute_,
-                                  u_right_.template data_as<T>(), cfg_.nb,
-                                  &st.rs);
-      right_start_ = next_right_start;
-      std::swap(rs_right_, rs_right_next_);
+    /// Once communicated, the next right swap is the right swap.
+    void communicate(Section w) {
+      rs(w).communicate(s_.grid_.col_comm(), &st_.mpi, s_.compute_, u(w),
+                        s_.cfg_.nb, &st_.rs);
+      if (w == Section::NextRight) std::swap(s_.rs_[kRight], s_.rs_[kNextRight]);
     }
-    left_sec.join(compute_);
 
-    prev_update_ = la_sec;
-    prev_update_.done.insert(prev_update_.done.end(), update2.done.begin(),
-                             update2.done.end());
-    prev_update_.done.insert(prev_update_.done.end(), left_sec.done.begin(),
-                             left_sec.done.end());
-    return has_next;
-  }
+    void scatter(Section w) {
+      HPLX_CHECK(rs(w).jl0() == p_[w].start);
+      rs(w).scatter(s_.compute_, s_.a_, u(w), s_.cfg_.nb);
+    }
+
+    Event record() { return s_.compute_.record(); }
+
+    Done update(Section w, BandPlacement placement, const Event& ready) {
+      const Section src = p_.u_of(w);
+      const Cols c = p_[w];
+      Done d = enqueue_update_bands(
+          s_.pool_, ready, s_.a_, cur_,
+          u(src) + (c.start - p_[src].start) * s_.cfg_.nb, s_.cfg_.nb,
+          c.start, c.count, s_.my_row(j_), s_.row_of(j_), s_.row_of(next_),
+          placement);
+      updated.done.insert(updated.done.end(), d.done.begin(), d.done.end());
+      return d;
+    }
+
+    void make_panel(const Done& written) {
+      s_.make_panel(next_, nxt_, written, st_);
+    }
+    void join(const Done& d) { d.join(s_.compute_); }
+    void drain() { s_.pool_.synchronize(); }
+
+    /// Every section this iteration updated: the fence non-owner ranks
+    /// take before the next iteration recycles the panel double-buffer.
+    BandSection updated;
+
+   private:
+    RowSwapperT<T>& rs(Section w) { return *s_.rs_[static_cast<int>(w)]; }
+    /// Both right swaps assemble into one U buffer: the next one's unpacks
+    /// are enqueued after UPDATE2's join, behind this iteration's reads.
+    T* u(Section w) {
+      const int i = w == Section::NextRight ? kRight : static_cast<int>(w);
+      return s_.u_[i].template data_as<T>();
+    }
+
+    Solver& s_;
+    const IterationPlan& p_;
+    long j_;
+    long next_;
+    PanelDataT<T>& cur_;
+    PanelDataT<T>& nxt_;
+    IterStats& st_;
+  };
 
   // --------------------------------------------------------------- trace
 
@@ -825,14 +719,19 @@ class Solver {
   device::Stream data_;
   ThreadTeam team_;
 
-  device::Buffer u_main_, u_la_, u_left_, u_right_;
-  RowSwapperT<T> rs_main_, rs_la_, rs_left_;
-  std::unique_ptr<RowSwapperT<T>> rs_right_, rs_right_next_;
+  static constexpr int kRest = static_cast<int>(Section::Rest);
+  static constexpr int kRight = static_cast<int>(Section::Right);
+  static constexpr int kNextRight = static_cast<int>(Section::NextRight);
+  /// Per swap window (indexed by Section; Rest swaps nothing): its U
+  /// buffer and its swapper. The right and next-right swappers trade
+  /// places every Fig. 6 iteration.
+  device::Buffer u_[kSections];
+  RowSwapperT<T> swappers_[kSections];
+  RowSwapperT<T>* rs_[kSections] = {};
   /// Per-iteration row-swap plans, rebuilt in place (capacity persists
   /// across iterations, so planning allocates nothing once warm).
   RowSwapPlan plan_, plan_next_;
-  long csplit_ = 0;
-  long right_start_ = 0;
+  IterationSchedule schedule_;
   /// Completion events of the previous iteration's update sections: the
   /// fence non-owner ranks take before recycling the panel double-buffer.
   BandSection prev_update_;

@@ -1,7 +1,9 @@
 #include "core/report.hpp"
 
+#include <algorithm>
 #include <iomanip>
 #include <ostream>
+#include <string>
 
 #include "comm/verify.hpp"
 #include "device/hazard.hpp"
@@ -110,17 +112,22 @@ void print_hpl_footer(std::ostream& os, int tests, int passed) {
 
 void print_phase_breakdown(std::ostream& os, const HplResult& result) {
   const double wall = result.seconds > 0.0 ? result.seconds : 1.0;
-  auto line = [&](const char* label, double seconds) {
+  auto line = [&](const std::string& label, double seconds,
+                  double capacity = 1.0) {
     os << "  " << std::left << std::setw(26) << label << std::right
        << std::fixed << std::setprecision(3) << std::setw(10) << seconds
        << " s  " << std::setprecision(1) << std::setw(6)
-       << 100.0 * seconds / wall << " %\n";
+       << 100.0 * seconds / (capacity * wall) << " %\n";
   };
+  const int streams =
+      std::max(static_cast<int>(result.stream_real_seconds.size()), 1);
   os << kDash << "Phase breakdown (phases overlap; shares are of wall "
         "time):\n";
   if (!result.blas.empty()) os << "  blas: " << result.blas << '\n';
   line("wall (solve + backsolve)", result.seconds);
-  line("GPU kernels", result.gpu_seconds);
+  line("GPU kernels (" + std::to_string(streams) +
+           (streams == 1 ? " stream)" : " streams)"),
+       result.gpu_seconds, streams);
   line("CPU panel factorization", result.fact_seconds);
   line("communication", result.mpi_seconds);
   line("host<->device transfers", result.transfer_seconds);

@@ -40,8 +40,9 @@ void print_hpl_footer(std::ostream& os, int tests, int passed);
 
 /// rocHPL-style per-phase breakdown of a run, headed by the BLAS-3 copy
 /// that ran: wall-time share of FACT, MPI, host<->device transfers, and
-/// GPU kernels (shares can exceed 100% in aggregate — phases overlap by
-/// design).
+/// GPU kernels. The GPU row sums every update stream's busy time, so its
+/// share is of the streams' combined wall time. Shares can exceed 100% in
+/// aggregate — phases overlap by design.
 void print_phase_breakdown(std::ostream& os, const HplResult& result);
 
 /// End-of-run hazard-checker table (result.hazards): one row per

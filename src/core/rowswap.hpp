@@ -142,6 +142,7 @@ class RowSwapperT {
   void scatter(device::Stream& stream, DistMatrixT<T>& a, T* u_dev,
                long ldu);
 
+  long jl0() const { return jl0_; }
   long njl() const { return njl_; }
   int jb() const { return jb_; }
 

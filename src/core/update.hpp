@@ -18,6 +18,7 @@
 
 #include "core/matrix.hpp"
 #include "core/panel_bcast.hpp"
+#include "core/schedule.hpp"
 #include "device/stream.hpp"
 
 namespace hplx::core {
@@ -37,18 +38,6 @@ template <typename T>
 void enqueue_tail_gemm(device::Stream& s, DistMatrixT<T>& a,
                        const PanelDataT<T>& panel, const T* u_dev, long ldu,
                        long jl0, long njl, long tail_off);
-
-/// Which pool streams a banded section may use. The split/lookahead
-/// schedules need the *placement* degree of freedom: the look-ahead band
-/// must stay on the primary stream so its completion event fires the
-/// moment it finishes (releasing FACT), while the big right-section bands
-/// should avoid the primary so the row-swap scatter chain queued there is
-/// never stuck behind them.
-enum class BandPlacement {
-  Spread,        ///< round-robin over every pool stream
-  SparePrimary,  ///< streams 1..N-1 only (primary if the pool has one stream)
-  PrimaryOnly,   ///< primary stream only (the seed single-stream schedule)
-};
 
 /// Completion handle for one banded section: one event per pool stream
 /// that received bands, each recorded after that stream's last band.

@@ -21,7 +21,7 @@ template <typename T>
 void gemm(Stream& s, long m, long n, long k, T alpha, const T* a, long lda,
           const T* b, long ldb, T beta, T* c, long ldc) {
   if (m <= 0 || n <= 0) return;
-  const Precision prec = s.device().model().precision_for_elem(sizeof(T));
+  const Precision prec = DeviceModel::precision_for_elem(sizeof(T));
   const double modeled = s.device().model().gemm_seconds(m, n, k, prec);
   // The stream worker thread runs the same process-global packed BLAS-3
   // engine as host code: large updates lease the shared thread team
@@ -42,7 +42,7 @@ template <typename T>
 void trsm_left_lower_unit(Stream& s, long nb, long n, const T* l1, long ldl,
                           T* u, long ldu) {
   if (nb <= 0 || n <= 0) return;
-  const Precision prec = s.device().model().precision_for_elem(sizeof(T));
+  const Precision prec = DeviceModel::precision_for_elem(sizeof(T));
   const double modeled = s.device().model().trsm_seconds(nb, n, prec);
   s.enqueue_annotated(
       modeled, "trsm",
@@ -57,7 +57,7 @@ void trsm_left_lower_unit(Stream& s, long nb, long n, const T* l1, long ldl,
 template <typename T>
 void trsv_upper(Stream& s, long n, const T* u, long ldu, T* x) {
   if (n <= 0) return;
-  const Precision prec = s.device().model().precision_for_elem(sizeof(T));
+  const Precision prec = DeviceModel::precision_for_elem(sizeof(T));
   const double modeled = s.device().model().trsm_seconds(n, 1, prec);
   s.enqueue_annotated(
       modeled, "trsv_upper",
@@ -97,7 +97,7 @@ template <typename T>
 void trsm_upper(Stream& s, long n, long nrhs, const T* u, long ldu, T* x,
                 long ldx) {
   if (n <= 0 || nrhs <= 0) return;
-  const Precision prec = s.device().model().precision_for_elem(sizeof(T));
+  const Precision prec = DeviceModel::precision_for_elem(sizeof(T));
   const double modeled = s.device().model().trsm_seconds(n, nrhs, prec);
   s.enqueue_annotated(
       modeled, "trsm_upper",

@@ -79,11 +79,6 @@ struct DeviceModel {
                                 {20.0, 45.0, 80.0, 120.0, 155.0, 180.0,
                                  188.0}};
 
-  /// Rate float kernels are billed at: FP32, the honest rate of mxp32's
-  /// kernels. FP16 would bill them at half rates and FP64 at double rates;
-  /// no run mode sets either.
-  Precision low_prec = Precision::FP32;
-
   // Memory and links.
   double hbm_bw_gbs = 1600.0;   ///< device-local streaming bandwidth
   double h2d_bw_gbs = 30.0;     ///< host<->device effective, per direction
@@ -119,9 +114,9 @@ struct DeviceModel {
                          std::size_t elem_bytes = sizeof(double)) const;
 
   /// Billing precision for a kernel computing in elements of `elem_bytes`
-  /// bytes: 8 → FP64, 4 → low_prec.
-  Precision precision_for_elem(std::size_t elem_bytes) const {
-    return elem_bytes >= sizeof(double) ? Precision::FP64 : low_prec;
+  /// bytes: 8 → FP64, 4 → FP32 (mxp32's kernels).
+  static Precision precision_for_elem(std::size_t elem_bytes) {
+    return elem_bytes >= sizeof(double) ? Precision::FP64 : Precision::FP32;
   }
 
   /// The MI250X GCD calibration used throughout the repo (including the

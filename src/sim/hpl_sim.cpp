@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
+#include "core/schedule.hpp"
 #include "grid/block_cyclic.hpp"
 #include "util/error.hpp"
 
@@ -10,7 +12,7 @@ namespace hplx::sim {
 
 namespace {
 
-/// Per-iteration phase durations and the Fig. 3 / Fig. 6 composition.
+/// Per-iteration phase durations.
 class IterationModel {
  public:
   IterationModel(const NodeModel& node, const ClusterConfig& cfg)
@@ -50,9 +52,11 @@ class IterationModel {
 
   /// MPI time of the row-swap (ring allgatherv of U + scatterv of
   /// displaced rows) over the process column, for `cols` local columns:
-  /// each leg pays P-1 latency hops and moves its bytes once.
+  /// each leg pays P-1 latency hops and moves its bytes once. A window
+  /// with no local columns still runs the ring's P-1 empty hops, and has
+  /// no displaced rows to scatter.
   double rs_comm_seconds(double cols) const {
-    if (cols <= 0 || cfg_.p == 1) return 0.0;
+    if (cfg_.p == 1) return 0.0;
     const double bw =
         (col_inter_ ? node_.net.inter_bw_gbs : node_.net.intra_bw_gbs) * 1e9;
     const double lat =
@@ -60,7 +64,7 @@ class IterationModel {
     const double ubytes = static_cast<double>(cfg_.nb) * cols * eb_;
     const double frac = static_cast<double>(cfg_.p - 1) / cfg_.p;
     const double leg = (cfg_.p - 1) * lat + ubytes * frac / bw;
-    return 2.0 * leg;
+    return cols > 0 ? 2.0 * leg : leg;
   }
 
   /// FACT on the CPU: compute + the per-column pivot collectives.
@@ -119,18 +123,96 @@ constexpr const char* kCpu = "CPU";
 constexpr const char* kMpi = "MPI";
 constexpr const char* kXfer = "XFER";
 
-/// One iteration's modeled schedule, laid down bar by bar. Each drawn bar
-/// folds into the record as it is placed: the MPI, CPU and XFER lanes sum
-/// into mpi_s, fact_s and transfer_s, the GPU lane into gpu_s, and
-/// total_s is max(span, gpu_s). The record is thereby the fold of its own
-/// timeline.
-class Schedule {
- public:
-  explicit Schedule(std::vector<TimelineEvent>* events) : events_(events) {}
+/// Bar-label names of the sections, in core::Section order.
+constexpr const char* kSectionNames[core::kSections] = {
+    "look-ahead", "rest", "left", "right", "next right"};
 
-  /// Place a `dur`-second bar on `lane` at `start`. Returns the bar's
-  /// end; empty bars are not drawn.
-  double bar(const char* lane, const char* label, double start, double dur) {
+/// The modeled engine of the shared iteration schedule (core/schedule.hpp),
+/// for one iteration. It lays each step's bars with the real runtime's
+/// semantics: the GPU lane is one in-order stream (so UPDATE2 never starts
+/// early), and a device step starts once the lane is free, the host has
+/// enqueued it and its ready event has fired; the host blocks in
+/// communicate (until its gather is done and the wire time has passed)
+/// and in make_panel; events are times. Each drawn bar folds into the
+/// record: the MPI, CPU and XFER lanes sum into mpi_s, fact_s and
+/// transfer_s, the GPU lane into gpu_s, and total_s is max(span, gpu_s),
+/// so the record is the fold of its own timeline.
+class ModeledEngine {
+ public:
+  using Event = double;
+  using Done = double;
+
+  /// `m_tail`: the trailing rows, which the update touches and panel j+1
+  /// is factored over; `next_tail`: the rows of panel j+1's L2 block.
+  ModeledEngine(const IterationModel& m, const core::IterationPlan& p,
+                double m_tail, double next_tail,
+                std::vector<TimelineEvent>* events)
+      : m_(m), p_(p), m_tail_(m_tail), next_tail_(next_tail),
+        events_(events) {}
+
+  int streams() const { return 1; }
+
+  void gather(core::Section w) {
+    gathered_[idx(w)] = gpu("RS gather", w, 0.0, rs_device(w));
+  }
+
+  /// The wire time, then the U unpack kernels enqueued once it returns.
+  void communicate(core::Section w) {
+    host_ = bar(kMpi, "RS comm", name(w), std::max(host_, gathered_[idx(w)]),
+                m_.rs_comm_seconds(cols(w)));
+    gpu("RS unpack", w, 0.0, rs_device(w));
+  }
+
+  void scatter(core::Section w) { gpu("RS scatter", w, 0.0, rs_device(w)); }
+
+  Event record() const { return gpu_; }
+
+  Done update(core::Section w, core::BandPlacement, Event ready) {
+    if (cols(w) <= 0.0) return 0.0;  // no bands: nothing to wait for
+    return gpu("UPDATE", w, ready, m_.update_seconds(m_tail_, cols(w)));
+  }
+
+  /// Panel j+1: stage it down, factor it, stage it back up and broadcast
+  /// it along the row.
+  void make_panel(Done written) {
+    const double xfer = m_.transfer_seconds(m_tail_) / 2.0;  // each way
+    double t = bar(kXfer, "panel D2H", nullptr, std::max(host_, written), xfer);
+    t = bar(kCpu, "FACT", nullptr, t, m_.fact_compute_seconds(m_tail_));
+    t = bar(kMpi, "FACT pivots", nullptr, t, m_.fact_comm_seconds());
+    t = bar(kXfer, "panel H2D", nullptr, t, xfer);
+    host_ = bar(kMpi, "LBCAST", nullptr, t, m_.lbcast_seconds(next_tail_));
+  }
+
+  void join(Done d) { gpu_ = std::max(gpu_, d); }
+  void drain() { host_ = std::max(host_, gpu_); }
+
+  trace::IterationRecord folded() const {
+    trace::IterationRecord rec = rec_;
+    rec.total_s = std::max(span_, rec.gpu_s);
+    return rec;
+  }
+
+ private:
+  static int idx(core::Section w) { return static_cast<int>(w); }
+  static const char* name(core::Section w) { return kSectionNames[idx(w)]; }
+  double cols(core::Section w) const {
+    return static_cast<double>(p_[w].count);
+  }
+  double rs_device(core::Section w) const {
+    return m_.rs_device_seconds(cols(w));
+  }
+
+  /// A device bar in stream order; returns the lane's new end.
+  double gpu(const char* step, core::Section w, double ready, double dur) {
+    gpu_ = bar(kGpu, step, name(w), std::max({gpu_, host_, ready}), dur);
+    return gpu_;
+  }
+
+  /// Place a `dur`-second bar on `lane` at `start`, labelled
+  /// "step(section)", or "step" without a section. Returns the bar's end;
+  /// empty bars are not drawn.
+  double bar(const char* lane, const char* step, const char* section,
+             double start, double dur) {
     const double end = start + dur;
     if (end <= start) return end;
     span_ = std::max(span_, end);
@@ -138,140 +220,65 @@ class Schedule {
     if (lane == kCpu) rec_.fact_s += dur;
     if (lane == kMpi) rec_.mpi_s += dur;
     if (lane == kXfer) rec_.transfer_s += dur;
-    if (events_ != nullptr)
+    if (events_ != nullptr) {
+      std::string label = step;
+      if (section != nullptr) label = label + "(" + section + ")";
       events_->push_back(TimelineEvent{lane, label, start, end});
+    }
     return end;
   }
 
-  trace::IterationRecord record() const {
-    trace::IterationRecord rec = rec_;
-    rec.total_s = std::max(span_, rec.gpu_s);
-    return rec;
-  }
-
- private:
+  const IterationModel& m_;
+  const core::IterationPlan& p_;
+  double m_tail_;
+  double next_tail_;
   std::vector<TimelineEvent>* events_;
   trace::IterationRecord rec_;
   double span_ = 0.0;
+  double gpu_ = 0.0;   ///< when the GPU lane drains
+  double host_ = 0.0;  ///< the host's clock
+  double gathered_[core::kSections] = {};
 };
 
-/// The one composition of each pipeline shape. Prices iteration `iter`'s
-/// geometry and durations, lays its bars on a Schedule and returns the
-/// folded record; `events`, when non-null, receives the bars.
+/// Runs iteration `iter` of the shared schedule on the modeled engine and
+/// returns the folded record; `events`, when non-null, receives the bars.
 trace::IterationRecord build_iteration(const IterationModel& m,
                                        const ClusterConfig& cfg, int iter,
                                        std::vector<TimelineEvent>* events) {
-  const double nb = cfg.nb;
   const long j = static_cast<long>(iter) * cfg.nb;
   HPLX_CHECK(j >= 0 && j < cfg.n);
 
   // Exact block-cyclic geometry of the rank recording this iteration —
   // the diagonal-panel owner, as in the paper's Fig. 7 instrumentation.
   // Its local row/column counts vary iteration to iteration, which is
-  // what gives the published curves their jagged texture.
-  const double jb = std::min<double>(nb, static_cast<double>(cfg.n - j));
+  // what gives the published curves their jagged texture. The modeled
+  // rank also factors panel j+1, so it holds that panel's columns.
+  const long next = j + std::min<long>(cfg.nb, cfg.n - j);
   const int prow = grid::indxg2p(j, cfg.nb, cfg.p);
   const int pcol = grid::indxg2p(j, cfg.nb, cfg.q);
-  const double m_panel = static_cast<double>(
-      grid::numroc(cfg.n, cfg.nb, prow, cfg.p) -
-      grid::numroc(j, cfg.nb, prow, cfg.p));             // FACT rows
-  const double m_tail = static_cast<double>(
-      grid::numroc(cfg.n, cfg.nb, prow, cfg.p) -
-      grid::numroc(j + static_cast<long>(jb), cfg.nb, prow, cfg.p));
-  const double nloc = static_cast<double>(
-      grid::numroc(cfg.n + 1, cfg.nb, pcol, cfg.q) -
-      grid::numroc(j + static_cast<long>(jb), cfg.nb, pcol, cfg.q));
-  const double la = std::min(nloc, jb);                  // look-ahead cols
-
-  // Fixed split geometry (local columns per rank): the right section's
-  // width n2, and what remains of the left section this iteration.
-  const double nloc0 = static_cast<double>(cfg.n + 1) / cfg.q;
-  const double n2 =
-      cfg.pipeline == core::PipelineMode::LookaheadSplit
-          ? std::floor(nloc0 * cfg.split_fraction / nb) * nb
-          : 0.0;
-  const double left = std::max(0.0, nloc - la - n2);
-
-  // The host chain: stage a panel of `rows` local rows down, factor it,
-  // stage it back up and broadcast it along the row with its `tail` rows
-  // below the diagonal block. Returns when LBCAST ends.
-  auto host_chain = [&](Schedule& s, double t, double rows, double tail) {
-    const double xfer = m.transfer_seconds(rows) / 2.0;  // each way
-    t = s.bar(kXfer, "panel D2H", t, xfer);
-    t = s.bar(kCpu, "FACT", t, m.fact_compute_seconds(rows));
-    t = s.bar(kMpi, "FACT pivots", t, m.fact_comm_seconds());
-    t = s.bar(kXfer, "panel H2D", t, xfer);
-    return s.bar(kMpi, "LBCAST", t, m.lbcast_seconds(tail));
+  auto rows_from = [&](long g) {
+    return static_cast<double>(grid::numroc(cfg.n, cfg.nb, prow, cfg.p) -
+                               grid::numroc(g, cfg.nb, prow, cfg.p));
   };
+  auto col_of = [&](long g) { return grid::numroc(g, cfg.nb, pcol, cfg.q); };
+  core::IterationGeometry g;
+  g.first = iter == 0;
+  g.panel_col = col_of(j);
+  g.jl0 = col_of(next);
+  g.nloc = col_of(cfg.n + 1);
+  g.has_next = next < cfg.n;
+  g.next_cols =
+      g.has_next ? std::min(g.nloc - g.jl0, std::min<long>(cfg.nb, cfg.n - next))
+                 : 0;
+  const core::IterationPlan plan =
+      core::IterationSchedule(cfg.pipeline, g.nloc, cfg.split_fraction, cfg.nb)
+          .plan(g);
 
-  Schedule s(events);
-  if (cfg.pipeline == core::PipelineMode::LookaheadSplit && left > 0.0) {
-    // Fig. 6: UPDATE2 (right) hides the host chain and RS1; UPDATE1
-    // (left) hides the next panel's RS2. Durations:
-    const double right = n2;
-    const double d_gathers = m.rs_device_seconds(la + left);
-    const double d_scatter_right = 2.0 * m.rs_device_seconds(right);
-    const double d_la =
-        m.rs_device_seconds(la) + m.update_seconds(m_tail, la);
-    const double d_up2 = m.update_seconds(m_tail, right);
-    const double d_gather_next = m.rs_device_seconds(right);
-    const double d_up1 =
-        2.0 * m.rs_device_seconds(left) + m.update_seconds(m_tail, left);
-    const double la_comm = m.rs_comm_seconds(la);
-    const double rs1_comm = m.rs_comm_seconds(left);
-    const double rs2_comm = m.rs_comm_seconds(right);
+  ModeledEngine e(m, plan, rows_from(next),
+                  rows_from(std::min<long>(cfg.n, next + cfg.nb)), events);
+  core::run_iteration(e, plan);
 
-    // Lay the shape in the driver's enqueue order.
-    const double gpu_pre = s.bar(kGpu, "gather LA+left / scatter RS2", 0.0,
-                                 d_gathers + d_scatter_right);
-    s.bar(kMpi, "RS(look-ahead) comm", d_gathers, la_comm);
-    const double la_done =
-        s.bar(kGpu, "UPDATE(look-ahead)",
-              std::max(gpu_pre, d_gathers + la_comm), d_la);
-    const double fact_done = host_chain(s, la_done, m_panel, m_tail);
-    const double up2_done = s.bar(kGpu, "UPDATE2 (right)", la_done, d_up2);
-    const double rs1_done =
-        s.bar(kMpi, "RS1 (left) comm", fact_done, rs1_comm);
-    const double gather_next_done =
-        s.bar(kGpu, "gather RS2(next)", std::max(up2_done, fact_done),
-              d_gather_next);
-    s.bar(kGpu, "UPDATE1 (left)", std::max(gather_next_done, rs1_done),
-          d_up1);
-    s.bar(kMpi, "RS2(next) comm", gather_next_done, rs2_comm);
-  } else {
-    // Simple and Fig. 3 share the exposed whole-window row swap: gather,
-    // comm, then scatter + U assembly.
-    const bool simple = cfg.pipeline == core::PipelineMode::Simple;
-    const double d_gather = m.rs_device_seconds(nloc);
-    double t = s.bar(kGpu, simple ? "RS gather" : "RS gather/scatter", 0.0,
-                     d_gather);
-    t = s.bar(kMpi, "RS comm", t, m.rs_comm_seconds(nloc));
-    t = s.bar(kGpu, "RS scatter + U", t, 2.0 * d_gather);
-    if (simple) {
-      // Depth 0, as the driver runs it: every phase on the critical path,
-      // the whole-window update first, then the host chain of panel j+1
-      // (its rows are this rank's trailing rows). The last iteration has
-      // no next panel to factor.
-      t = s.bar(kGpu, "UPDATE", t, m.update_seconds(m_tail, nloc));
-      const long next = j + static_cast<long>(jb);
-      if (next < cfg.n) {
-        const long after = std::min<long>(cfg.n, next + cfg.nb);
-        const double next_tail = static_cast<double>(
-            grid::numroc(cfg.n, cfg.nb, prow, cfg.p) -
-            grid::numroc(after, cfg.nb, prow, cfg.p));
-        host_chain(s, t, m_tail, next_tail);
-      }
-    } else {
-      // Fig. 3: FACT/LBCAST hidden behind the trailing update of the
-      // non-look-ahead columns.
-      const double la_done =
-          s.bar(kGpu, "UPDATE(look-ahead)", t, m.update_seconds(m_tail, la));
-      s.bar(kGpu, "UPDATE(rest)", la_done, m.update_seconds(m_tail, nloc - la));
-      host_chain(s, la_done, m_panel, m_tail);
-    }
-  }
-
-  trace::IterationRecord rec = s.record();
+  trace::IterationRecord rec = e.folded();
   rec.iteration = iter;
   rec.column = j;
   return rec;

@@ -5,20 +5,17 @@
 /// The simulator prices the same per-iteration shapes the real driver
 /// executes — Simple, Fig. 3 (look-ahead) and Fig. 6 (split update) — with
 /// phase durations from the calibrated NodeModel instead of executing
-/// them. Each shape is composed once, by a per-iteration builder that lays
-/// the iteration's bars on a timeline: iteration_timeline returns those
-/// bars, and simulate_hpl keeps only each iteration's record, which is the
-/// fold of its bars (mpi_s, fact_s and transfer_s sum the MPI, CPU and
-/// XFER lanes, gpu_s the GPU lane's busy time, and total_s is
-/// max(span, gpu_s)). The records have the real driver's trace layout
-/// (total, GPU-active, FACT, MPI, transfer), which is how Figs. 7 and 8
-/// are regenerated.
+/// them: both run the shapes of core/schedule.hpp, and a modeled engine
+/// here lays each step's bars on a timeline. iteration_timeline returns
+/// those bars, and simulate_hpl keeps only each iteration's record, which
+/// is the fold of its bars. The records have the real driver's trace
+/// layout, which is how Figs. 7 and 8 are regenerated.
 ///
-/// Geometry is the exact block-cyclic share of the rank that owns each
-/// iteration's diagonal panel. Simple follows the driver's depth-0 order:
-/// iteration j swaps and updates the whole window, then factors panel j+1
-/// (panel 0's FACT is the driver's prologue, outside every iteration). No
-/// test yet ties the simulator's phase order to the real driver's trace.
+/// Each iteration models the diagonal panel's owner, with its exact
+/// block-cyclic rows, columns and split column, as if it also owned panel
+/// j+1 (panel 0's FACT is the driver's prologue, outside every iteration).
+/// With Q > 1 the real owner of panel j+1 is the next process column;
+/// that per-rank ownership is not modeled.
 
 #include <string>
 #include <vector>

@@ -5,6 +5,9 @@
 /// At every iteration the process owning the current diagonal panel records
 /// the same five timers the paper plots: total iteration time, GPU active
 /// time, FACT (CPU) time, MPI time, and host<->device transfer time.
+/// The real driver measures wall-clock seconds, except in fields marked
+/// modeled (DeviceModel time); the simulator writes modeled seconds, the
+/// fold of its timeline, and leaves the driver-only fields at zero.
 
 #include <cstdint>
 #include <cstring>
@@ -21,21 +24,23 @@ inline constexpr int kMaxUpdateStreams = 8;
 struct IterationRecord {
   int iteration = 0;       ///< 0-based iteration index
   long column = 0;         ///< global column at which the iteration starts
-  double total_s = 0.0;    ///< wall time of the whole iteration
-  double gpu_s = 0.0;      ///< modeled GPU busy time within the iteration
+  double total_s = 0.0;    ///< whole iteration (sim: max(span, gpu_s))
+  /// Device busy time. Driver: summed over the update pool's streams, so
+  /// it can exceed total_s. Simulator: its one GPU lane's.
+  double gpu_s = 0.0;
   double fact_s = 0.0;     ///< CPU panel factorization time
   double mpi_s = 0.0;      ///< time in communication calls
-  double transfer_s = 0.0; ///< host<->device transfer wait time
-  double rs_wire_s = 0.0;  ///< row-swap U-assembly wall time on the wire
-  double rs_unpack_s = 0.0;  ///< modeled device seconds of the U unpack kernels
+  double transfer_s = 0.0; ///< host<->device transfer time
+  double rs_wire_s = 0.0;  ///< driver only: U-assembly collective time
+  double rs_unpack_s = 0.0;  ///< driver only, modeled: U unpack kernels
 
   /// Streams in the trailing-update pool this iteration ran with; entries
   /// [0, update_streams) of the arrays below are meaningful.
   int update_streams = 1;
-  /// Modeled busy seconds per pool stream within the iteration (stream 0
-  /// is the primary carrying row swaps and U assembly).
+  /// Driver only, modeled: busy seconds per pool stream within the
+  /// iteration (stream 0 is the primary carrying row swaps and U assembly).
   double stream_busy_s[kMaxUpdateStreams] = {};
-  /// Wall-clock busy seconds per pool stream within the iteration.
+  /// Driver only: busy seconds per pool stream.
   double stream_real_s[kMaxUpdateStreams] = {};
 };
 

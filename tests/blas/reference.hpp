@@ -10,6 +10,22 @@
 
 namespace hplx::testref {
 
+/// Test-name spellings of the BLAS flags. The parameterized suites print
+/// their cases with these: gtest's default prints a struct as its raw
+/// bytes, padding included, which changes the test names between builds.
+inline const char* flag_name(blas::Trans t) {
+  return t == blas::Trans::No ? "N" : "T";
+}
+inline const char* flag_name(blas::Side s) {
+  return s == blas::Side::Left ? "Left" : "Right";
+}
+inline const char* flag_name(blas::Uplo u) {
+  return u == blas::Uplo::Lower ? "Lower" : "Upper";
+}
+inline const char* flag_name(blas::Diag d) {
+  return d == blas::Diag::Unit ? "Unit" : "NonUnit";
+}
+
 /// Deterministic pseudo-random doubles in [-1, 1) (xorshift; independent
 /// of the library's LCG so rng bugs cannot mask blas bugs).
 class Rand {

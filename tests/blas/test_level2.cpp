@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 #include <cmath>
+#include <ostream>
 
 #include <vector>
 
@@ -77,6 +78,11 @@ struct TrsvCase {
   Diag diag;
   int n;
 };
+
+void PrintTo(const TrsvCase& c, std::ostream* os) {
+  *os << testref::flag_name(c.uplo) << "_" << testref::flag_name(c.trans)
+      << "_" << testref::flag_name(c.diag) << "_n" << c.n;
+}
 
 class TrsvSweep : public ::testing::TestWithParam<TrsvCase> {};
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 #include <cmath>
+#include <ostream>
 
 #include <tuple>
 #include <vector>
@@ -18,6 +19,11 @@ struct GemmCase {
   int m, n, k;
   double alpha, beta;
 };
+
+void PrintTo(const GemmCase& c, std::ostream* os) {
+  *os << testref::flag_name(c.ta) << testref::flag_name(c.tb) << "_" << c.m
+      << "x" << c.n << "x" << c.k << "_alpha" << c.alpha << "_beta" << c.beta;
+}
 
 class GemmSweep : public ::testing::TestWithParam<GemmCase> {};
 
@@ -90,6 +96,13 @@ struct TrsmCase {
   int m, n;
   double alpha;
 };
+
+void PrintTo(const TrsmCase& c, std::ostream* os) {
+  *os << testref::flag_name(c.side) << "_" << testref::flag_name(c.uplo)
+      << "_" << testref::flag_name(c.trans) << "_"
+      << testref::flag_name(c.diag) << "_" << c.m << "x" << c.n << "_alpha"
+      << c.alpha;
+}
 
 class TrsmSweep : public ::testing::TestWithParam<TrsmCase> {};
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <limits>
 #include <vector>
 
@@ -33,6 +34,11 @@ struct ThreadedGemmCase {
   int m, n, k;
   double alpha, beta;
 };
+
+void PrintTo(const ThreadedGemmCase& c, std::ostream* os) {
+  *os << c.m << "x" << c.n << "x" << c.k << "_alpha" << c.alpha << "_beta"
+      << c.beta;
+}
 
 class ThreadedGemm : public ::testing::TestWithParam<ThreadedGemmCase> {};
 
@@ -183,6 +189,13 @@ struct ThreadedTrsmCase {
   int m, n;
   double alpha;
 };
+
+void PrintTo(const ThreadedTrsmCase& c, std::ostream* os) {
+  *os << testref::flag_name(c.side) << "_" << testref::flag_name(c.uplo)
+      << "_" << testref::flag_name(c.trans) << "_"
+      << testref::flag_name(c.diag) << "_" << c.m << "x" << c.n << "_alpha"
+      << c.alpha;
+}
 
 class ThreadedTrsm : public ::testing::TestWithParam<ThreadedTrsmCase> {};
 

@@ -103,6 +103,24 @@ TEST(Report, PhaseBreakdownShowsAllPhases) {
   EXPECT_NE(s.find("30.0 %"), std::string::npos);   // 3/10
 }
 
+TEST(Report, GpuShareIsOfEveryUpdateStream) {
+  // Four streams each busy 9 of the 10 wall seconds: the pool's summed
+  // busy time is 36 s, which is 90% of the four streams' capacity.
+  HplResult r;
+  r.seconds = 10.0;
+  r.gpu_seconds = 36.0;
+  r.stream_busy_seconds.assign(4, 9.0);
+  r.stream_real_seconds.assign(4, 9.0);
+  std::ostringstream os;
+  print_phase_breakdown(os, r);
+  const std::string s = os.str();
+  const auto row = s.find("GPU kernels (4 streams)");
+  ASSERT_NE(row, std::string::npos) << s;
+  const std::string line = s.substr(row, s.find('\n', row) - row);
+  EXPECT_NE(line.find("36.000 s"), std::string::npos) << line;
+  EXPECT_NE(line.find(" 90.0 %"), std::string::npos) << line;
+}
+
 TEST(Report, FooterCountsFailures) {
   std::ostringstream os;
   print_hpl_footer(os, 5, 3);

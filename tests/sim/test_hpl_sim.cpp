@@ -212,6 +212,28 @@ TEST(HplSim, PrecisionModesOrderModeledSpeedup) {
   }
 }
 
+TEST(HplSim, SplitTailUsesThePendingRightSwap) {
+  // Every Fig. 6 iteration communicates the next panel's right-section
+  // swap, so when a rank's left section runs out its first Fig. 3
+  // iteration only scatters that swap: no row-swap wire time is exposed.
+  // Its next Fig. 3 iteration (two panels on, with Q = 2) swaps the whole
+  // window again.
+  const NodeModel node = NodeModel::crusher();
+  const ClusterConfig cfg = crusher_config(node, 1);
+  ASSERT_EQ(cfg.q, 2);
+  auto split_shaped = [&](int iter) {
+    for (const auto& e : iteration_timeline(node, cfg, iter))
+      if (e.label.find("left") != std::string::npos) return true;
+    return false;
+  };
+  int first_tail = 0;
+  while (split_shaped(first_tail)) ++first_tail;
+  ASSERT_GT(first_tail, 100);
+  ASSERT_FALSE(split_shaped(first_tail + 2));
+  EXPECT_EQ(rs_wire_seconds(node, cfg, first_tail), 0.0);
+  EXPECT_GT(rs_wire_seconds(node, cfg, first_tail + 2), 0.0);
+}
+
 TEST(HplSim, RecordIsTheFoldOfItsTimeline) {
   // simulate_hpl and iteration_timeline share one per-iteration builder,
   // so every record field is a fold of that iteration's bars: mpi_s,
@@ -270,7 +292,7 @@ TEST(HplSim, SimpleFactorsTheNextPanelAfterTheUpdate) {
   for (const int iter : {0, 100, 400}) {
     SCOPED_TRACE(iter);
     const auto ev = iteration_timeline(node, cfg, iter);
-    const TimelineEvent* update = bar(ev, "UPDATE");
+    const TimelineEvent* update = bar(ev, "UPDATE(rest)");
     const TimelineEvent* fact = bar(ev, "FACT");
     ASSERT_NE(update, nullptr);
     ASSERT_NE(fact, nullptr);

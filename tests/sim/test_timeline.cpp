@@ -63,18 +63,22 @@ TEST(Timeline, Fig3RowSwapIsExposed) {
 
 TEST(Timeline, Fig6RowSwapsHiddenUnderUpdates) {
   const auto ev = timeline(core::PipelineMode::LookaheadSplit);
-  const auto* up2 = find(ev, "UPDATE2");
-  const auto* up1 = find(ev, "UPDATE1");
-  const auto* rs1 = find(ev, "RS1");
-  const auto* rs2 = find(ev, "RS2(next) comm");
+  const auto* up2 = find(ev, "UPDATE(right)");
+  const auto* left = find(ev, "RS scatter(left)");
+  const auto* up1 = find(ev, "UPDATE(left)");
+  const auto* rs1 = find(ev, "RS comm(left)");
+  const auto* rs2 = find(ev, "RS comm(next right)");
   ASSERT_NE(up2, nullptr);
+  ASSERT_NE(left, nullptr);
   ASSERT_NE(up1, nullptr);
   ASSERT_NE(rs1, nullptr);
   ASSERT_NE(rs2, nullptr);
-  // RS1 hides under UPDATE2; RS2 hides under UPDATE1 (Fig. 6).
+  // RS1 hides under UPDATE2; RS2 hides under UPDATE1, whose device work
+  // begins with the left section's displaced-row scatter (Fig. 6).
   EXPECT_GE(rs1->start, up2->start);
   EXPECT_LE(rs1->end, up2->end);
-  EXPECT_GE(rs2->start, up1->start - 1e-12);
+  EXPECT_GE(rs2->start, left->start - 1e-12);
+  EXPECT_LE(left->end, up1->start + 1e-12);
   EXPECT_LE(rs2->end, up1->end);
 }
 
