@@ -45,17 +45,13 @@ void BM_PanelBcast(benchmark::State& state) {
   const int ranks = static_cast<int>(state.range(0));
   const std::size_t bytes = static_cast<std::size_t>(state.range(1));
   const auto algo = static_cast<comm::BcastAlgo>(state.range(2));
-  double hit_rate = 0.0, direct = 0.0;
+  double hit_rate = 0.0;
   for (auto _ : state) {
     comm::World::run(ranks, [&](comm::Communicator& comm) {
       std::vector<char> buf(bytes, comm.rank() == 0 ? 1 : 0);
       comm::bcast_bytes(comm, buf.data(), bytes, 0, algo);
       benchmark::DoNotOptimize(buf.data());
-      if (comm.rank() == 0) {
-        const auto s = comm.fabric().pool_stats();
-        hit_rate = s.hit_rate();
-        direct = static_cast<double>(comm.fabric().direct_deliveries());
-      }
+      if (comm.rank() == 0) hit_rate = comm.fabric().pool_stats().hit_rate();
     });
   }
   state.counters["MB/s"] = benchmark::Counter(
@@ -63,7 +59,6 @@ void BM_PanelBcast(benchmark::State& state) {
           1e6,
       benchmark::Counter::kIsRate);
   state.counters["pool_hit_rate"] = hit_rate;
-  state.counters["direct_msgs"] = direct;
 }
 BENCHMARK(BM_PanelBcast)
     ->Args({8, 1 << 20, static_cast<long>(comm::BcastAlgo::Binomial)})

@@ -228,12 +228,6 @@ void bcast_bytes(Communicator& comm, void* buf, std::size_t bytes, int root,
   CollGuard guard(comm, Verifier::Coll::Bcast, root, bytes, bytes,
                   "comm.bcast", buf, bytes, /*write=*/me != root);
 
-  auto in_vrange = [&](int lo, int hi) {  // is my virtual rank in [lo, hi]?
-    const int vr = (me - root + n) % n;
-    return vr >= lo && vr <= hi;
-  };
-  (void)in_vrange;
-
   switch (algo) {
     case BcastAlgo::Binomial:
       binomial_bcast(comm, buf, bytes, root);
@@ -361,7 +355,6 @@ void bcast_two_level(Communicator& comm, void* buf, std::size_t bytes,
   // the example honest about what it optimizes — message COUNT crossing
   // the inter-node fabric.)
   auto leader_of = [&](int node) { return node * ranks_per_node; };
-  const bool is_leader = me == leader_of(my_node) || me == root;
   if (me == root) {
     for (int node = 0; node < nodes; ++node) {
       if (node == root_node) continue;
@@ -380,7 +373,6 @@ void bcast_two_level(Communicator& comm, void* buf, std::size_t bytes,
   order.push_back(start);
   for (int r = node_lo; r < node_hi; ++r)
     if (r != start) order.push_back(r);
-  (void)is_leader;
   chain_forward(comm, buf, bytes, order);
 }
 

@@ -19,19 +19,37 @@ Communicator::Communicator(std::shared_ptr<Fabric> fabric, int rank)
 }
 
 namespace {
+/// Copy the payload into a pooled buffer and queue it at `dst`: the one
+/// way a message travels, so a send never blocks.
 void do_send(Fabric& fabric, int src, const void* buf, std::size_t bytes,
              int dst, int tag) {
   HPLX_CHECK(dst >= 0 && dst < fabric.size());
-  fabric.mailbox(dst).deliver(src, tag, buf, bytes, fabric.pool(),
-                              fabric.direct_threshold(),
-                              fabric.direct_counter());
+  MessageEnvelope msg;
+  msg.src = src;
+  msg.tag = tag;
+  msg.payload = fabric.pool().acquire(bytes);
+  if (bytes != 0) std::memcpy(msg.payload.data(), buf, bytes);
+  fabric.mailbox(dst).deposit(std::move(msg));
+}
+
+/// The matched message must carry exactly `bytes`: a mismatch is recorded
+/// with the verifier (when attached) before the hard check throws.
+void check_size(Fabric& fabric, int self, const MessageEnvelope& msg,
+                std::size_t bytes) {
+  if (msg.payload.size() == bytes) return;
+  if (Verifier* v = fabric.verifier())
+    v->on_size_mismatch(self, msg.src, msg.tag, bytes, msg.payload.size());
+  HPLX_CHECK_MSG(msg.payload.size() == bytes,
+                 "recv size mismatch: expected " << bytes << " bytes, got "
+                 << msg.payload.size() << " (src=" << msg.src << ")");
 }
 
 void do_recv(Fabric& fabric, int self, void* buf, std::size_t bytes, int src,
              int tag) {
-  // Posts the receive so a large sender can deliver straight into buf.
-  fabric.mailbox(self).recv_into(src, tag, buf, bytes);
-}
+  MessageEnvelope msg = fabric.mailbox(self).match(src, tag);
+  check_size(fabric, self, msg, bytes);
+  if (bytes != 0) std::memcpy(buf, msg.payload.data(), bytes);
+}  // the envelope dies here and its payload returns to the pool
 }  // namespace
 
 void Communicator::check_user_tag(int tag, const char* op) {
@@ -65,14 +83,8 @@ bool Communicator::try_recv_bytes(void* buf, std::size_t bytes, int src,
   check_user_tag(tag, "try_recv");
   MessageEnvelope msg;
   if (!fabric_->mailbox(rank_).try_match(src, tag, msg)) return false;
-  if (msg.payload.size() != bytes) {
-    if (Verifier* v = fabric_->verifier())
-      v->on_size_mismatch(rank_, msg.src, msg.tag, bytes, msg.payload.size());
-  }
-  HPLX_CHECK_MSG(msg.payload.size() == bytes,
-                 "size mismatch in try_recv: expected " << bytes
-                 << " bytes, got " << msg.payload.size());
-  if (bytes > 0) std::memcpy(buf, msg.payload.data(), bytes);
+  check_size(*fabric_, rank_, msg, bytes);
+  if (bytes != 0) std::memcpy(buf, msg.payload.data(), bytes);
   return true;
 }
 
@@ -90,13 +102,7 @@ PoolBuffer Communicator::recv_internal_buffer(std::size_t bytes, int src,
                                               int coll_tag) {
   MessageEnvelope msg =
       fabric_->mailbox(rank_).match(src, kMaxUserTag + coll_tag);
-  if (msg.payload.size() != bytes) {
-    if (Verifier* v = fabric_->verifier())
-      v->on_size_mismatch(rank_, msg.src, msg.tag, bytes, msg.payload.size());
-  }
-  HPLX_CHECK_MSG(msg.payload.size() == bytes,
-                 "size mismatch in recv: expected " << bytes << " bytes, got "
-                 << msg.payload.size() << " (src=" << msg.src << ")");
+  check_size(*fabric_, rank_, msg, bytes);
   return std::move(msg.payload);
 }
 
@@ -153,7 +159,6 @@ Communicator Communicator::split(int color, int key) {
              slot.color[static_cast<std::size_t>(order[j])] == c)
         ++j;
       auto child = std::make_shared<Fabric>(static_cast<int>(j - i));
-      child->set_direct_threshold(f.direct_threshold());
       if (v != nullptr) child->enable_verifier(v->config());
       for (std::size_t k = i; k < j; ++k) {
         const auto member = static_cast<std::size_t>(order[k]);

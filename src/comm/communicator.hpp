@@ -84,12 +84,11 @@ class Communicator {
   }
 
   /// Simultaneous send+receive. The send completes before the receive
-  /// starts and never blocks: small messages are eager-buffered by the
-  /// fabric, and large ones either match an already-posted receive (direct
-  /// delivery) or fall back to the eager path — so a symmetric exchange
-  /// (every rank sendrecv'ing with a partner) cannot deadlock, and the
-  /// comm verifier models the send as immediately complete (only the
-  /// receive half ever enters the wait-for graph).
+  /// starts and never blocks, because every message is buffered eagerly
+  /// by the fabric — so a symmetric exchange (every rank sendrecv'ing with
+  /// a partner) cannot deadlock, and the comm verifier models the send as
+  /// immediately complete (only the receive half ever enters the wait-for
+  /// graph).
   template <typename T>
   void sendrecv(const T* sendbuf, std::size_t sendcount, int dst, int sendtag,
                 T* recvbuf, std::size_t recvcount, int src, int recvtag) {

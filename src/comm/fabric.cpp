@@ -20,59 +20,15 @@ bool matches(const MessageEnvelope& m, int src, int tag) {
 }
 }  // namespace
 
-void Mailbox::deliver(int src, int tag, const void* data, std::size_t bytes,
-                      BufferPool& pool, std::size_t direct_threshold,
-                      std::atomic<std::uint64_t>& direct_count) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (auto it = posted_.begin(); it != posted_.end(); ++it) {
-    PostedRecv* pr = *it;
-    if (!((pr->src == kAnySource || pr->src == src) && pr->tag == tag))
-      continue;
-    // Oldest matching posted receive. Direct delivery must not overtake a
-    // message that arrived eagerly after the receive was posted but before
-    // the receiver woke — FIFO says that older message is the match.
-    bool queued_match = false;
-    for (const auto& q : queue_) {
-      if ((pr->src == kAnySource || pr->src == q.src) && pr->tag == q.tag) {
-        queued_match = true;
-        break;
-      }
-    }
-    // Hand off directly when the message is large enough to be worth it
-    // and the sizes agree; otherwise fall through to the eager queue and
-    // let the receiver's own size check fire on its thread (keeps error
-    // attribution on the receiver).
-    if (!queued_match && bytes >= direct_threshold && bytes == pr->bytes) {
-      if (bytes != 0) std::memcpy(pr->dst, data, bytes);
-      pr->done = true;
-      posted_.erase(it);
-      direct_count.fetch_add(1, std::memory_order_relaxed);
-      lock.unlock();
-      cv_.notify_all();
-      return;
-    }
-    break;
-  }
-  MessageEnvelope msg;
-  msg.src = src;
-  msg.tag = tag;
-  msg.payload = pool.acquire(bytes);
-  if (bytes != 0) std::memcpy(msg.payload.data(), data, bytes);
-  queue_.push_back(std::move(msg));
-  lock.unlock();
-  cv_.notify_all();
-}
-
 template <class Pred>
 void Mailbox::wait_verified(std::unique_lock<std::mutex>& lock, int src,
-                            int tag, const char* what, const bool* done,
-                            Pred&& pred) {
+                            int tag, const char* what, Pred&& pred) {
   Verifier* v = verifier_;
   const int self = self_rank_;
   lock.unlock();
   try {
     // throws when already aborted
-    v->on_block(self, this, src, tag, what, done);
+    v->on_block(self, this, src, tag, what);
   } catch (...) {
     lock.lock();
     throw;
@@ -86,20 +42,16 @@ void Mailbox::wait_verified(std::unique_lock<std::mutex>& lock, int src,
     if (v->aborted()) {
       v->on_unblock(self);
       lock.lock();
-      v->throw_aborted();  // lock held: caller unposts, then unwinds
+      v->throw_aborted();  // lock held, as on every exit
     }
     lock.lock();
   }
   lock.unlock();
   v->on_unblock(self);
   lock.lock();
-  // on_unblock ran with the lock dropped, and a concurrent deliver()/
-  // deposit() push_back in that window invalidates every queue_ iterator
-  // the predicate may have cached (std::deque insertion invalidates all
-  // iterators). pred only latches false->true — queued envelopes are
-  // consumed solely by this mailbox's owning thread, and deliver()
-  // disables direct completion while a queued match exists — so
-  // re-evaluating here refreshes any cached state without waiting.
+  // on_unblock ran with the lock dropped. pred only latches false->true
+  // (queued envelopes are consumed solely by this mailbox's owning
+  // thread), so it still holds.
   const bool satisfied = pred();
   HPLX_CHECK(satisfied);
 }
@@ -117,71 +69,13 @@ MessageEnvelope Mailbox::match(int src, int tag) {
     if (verifier_ == nullptr) {
       cv_.wait(lock);
     } else {
-      wait_verified(lock, src, tag, "recv", /*done=*/nullptr, [&] {
+      wait_verified(lock, src, tag, "recv", [&] {
         for (const auto& m : queue_)
           if (matches(m, src, tag)) return true;
         return false;
       });
     }
   }
-}
-
-void Mailbox::recv_into(int src, int tag, void* dst, std::size_t bytes) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  auto find_queued = [&] {
-    for (auto it = queue_.begin(); it != queue_.end(); ++it)
-      if (matches(*it, src, tag)) return it;
-    return queue_.end();
-  };
-  auto consume = [&](std::deque<MessageEnvelope>::iterator it) {
-    if (verifier_ != nullptr && it->payload.size() != bytes)
-      verifier_->on_size_mismatch(self_rank_, it->src, it->tag, bytes,
-                                  it->payload.size());
-    HPLX_CHECK_MSG(it->payload.size() == bytes,
-                   "recv size mismatch: expected " + std::to_string(bytes) +
-                       " bytes, got " + std::to_string(it->payload.size()));
-    if (bytes != 0) std::memcpy(dst, it->payload.data(), bytes);
-    queue_.erase(it);  // envelope dies here, payload returns to the pool
-  };
-  PostedRecv pr{src, tag, dst, bytes, false};
-  auto unpost = [&] {
-    for (auto pit = posted_.begin(); pit != posted_.end(); ++pit) {
-      if (*pit == &pr) {
-        posted_.erase(pit);
-        break;
-      }
-    }
-  };
-
-  auto it = find_queued();
-  if (it != queue_.end()) {
-    consume(it);
-    return;
-  }
-  // Nothing queued: post the receive so a large incoming message can be
-  // written straight into dst by the sender (single copy).
-  posted_.push_back(&pr);
-  std::deque<MessageEnvelope>::iterator qit;
-  auto pred = [&] {
-    if (pr.done) return true;
-    qit = find_queued();
-    return qit != queue_.end();
-  };
-  if (verifier_ == nullptr) {
-    cv_.wait(lock, pred);
-  } else {
-    try {
-      wait_verified(lock, src, tag, "recv", &pr.done, pred);
-    } catch (...) {
-      // wait_verified throws with the lock held; remove the posted
-      // receive before unwinding so no dangling pointer stays behind.
-      unpost();
-      throw;
-    }
-  }
-  if (pr.done) return;  // delivered directly; sender removed the post
-  unpost();
-  consume(qit);
 }
 
 bool Mailbox::try_match(int src, int tag, MessageEnvelope& out) {

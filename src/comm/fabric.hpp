@@ -1,21 +1,15 @@
 #pragma once
 /// \file fabric.hpp
 /// \brief Shared-memory transport backing a communicator: one mailbox per
-/// rank, tagged FIFO matching, pooled payloads, eager/rendezvous delivery.
+/// rank, tagged FIFO matching, pooled payloads, eager delivery.
 ///
 /// This is the layer below Communicator. A Fabric owns `size` mailboxes
-/// and one BufferPool shared by all of them. Two delivery regimes:
-///
-///   - **Eager** (bytes < direct threshold, or the receiver has not posted
-///     yet): the payload is copied into a pooled buffer and queued at the
-///     destination; the sender never blocks (MPI's buffered send). The
-///     matched receive copies out and the buffer returns to the freelist.
-///   - **Direct** (bytes >= threshold and a matching receive is already
-///     posted): the sender copies straight into the receiver's destination
-///     buffer — a single copy end to end, no intermediate buffer at all.
-///     This is the rendezvous-style handoff large transfers (panel bcast,
-///     row-swap allgatherv) want, but with an eager fallback instead of a
-///     blocking sender, so no send/recv ordering can deadlock.
+/// and one BufferPool shared by all of them. Every message travels the
+/// same way: the sender copies the payload into a pooled buffer and queues
+/// it at the destination, so a send never blocks (MPI's buffered send) and
+/// no send/recv ordering can deadlock. The matched receive copies out and
+/// the buffer returns to the freelist. Relay stages skip both copies by
+/// moving the pooled buffer on (Mailbox::deposit).
 ///
 /// Matching is FIFO among messages with the same (source, tag), which
 /// gives the same non-overtaking guarantee MPI provides and is what the
@@ -38,38 +32,21 @@ namespace hplx::comm {
 /// Matches any source rank in recv.
 inline constexpr int kAnySource = -1;
 
-/// Default eager/direct cutover: below this, messages always travel
-/// through the pool; at or above it, a posted receiver gets the payload
-/// in one copy. Tunable per fabric (Fabric::set_direct_threshold).
-inline constexpr std::size_t kDefaultEagerThreshold = 32 * 1024;
-
 struct MessageEnvelope {
   int src = 0;
   int tag = 0;
   PoolBuffer payload;
 };
 
-/// One rank's incoming-message queue plus its posted (waiting) receives.
+/// One rank's incoming-message queue.
 class Mailbox {
  public:
-  /// Queue a ready-made envelope (used by the zero-copy forwarding path;
-  /// the payload changes owner without being copied).
+  /// Queue an envelope; its pooled payload changes owner without a copy.
   void deposit(MessageEnvelope msg);
-
-  /// Deliver `bytes` from `data`: directly into a posted receive when one
-  /// matches and bytes >= direct_threshold, else eagerly via `pool`.
-  /// `direct_count` is bumped on the direct path.
-  void deliver(int src, int tag, const void* data, std::size_t bytes,
-               BufferPool& pool, std::size_t direct_threshold,
-               std::atomic<std::uint64_t>& direct_count);
 
   /// Block until a message matching (src, tag) is available and return it.
   /// src may be kAnySource. FIFO among matches.
   MessageEnvelope match(int src, int tag);
-
-  /// Blocking receive of exactly `bytes` into `dst` — posts the receive so
-  /// an incoming large message can be delivered directly (single copy).
-  void recv_into(int src, int tag, void* dst, std::size_t bytes);
 
   /// Non-blocking variant: returns true and fills out if a match exists.
   bool try_match(int src, int tag, MessageEnvelope& out);
@@ -97,46 +74,21 @@ class Mailbox {
     for (const auto& m : queue_) fn(m.src, m.tag, m.payload.size());
   }
 
-  /// Read a posted receive's completion flag under the mailbox lock (the
-  /// flag is written by deliver() under the same lock). Used by the
-  /// verifier's poll to recognize a rank whose blocked receive was already
-  /// satisfied by direct delivery but whose thread has not run yet. `flag`
-  /// outlives the read: the receiver unregisters from the wait-for
-  /// registry before its PostedRecv leaves scope, and poll() holds
-  /// Verifier::blocked_mutex_ across the call.
-  bool posted_done(const bool* flag) const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return *flag;
-  }
-
  private:
-  struct PostedRecv {
-    int src;
-    int tag;
-    void* dst;
-    std::size_t bytes;
-    bool done = false;
-  };
-
   /// Verified blocking wait: registers the blocked receive, waits in poll
   /// ticks running the deadlock check, unregisters on wake. Entered and
-  /// exited with `lock` held; on deadlock abort it throws with `lock`
-  /// HELD so callers can unpost their receive under the same lock.
+  /// exited with `lock` held, also when it throws on deadlock abort.
   /// on_block/on_unblock/poll are never invoked while `lock` is held
   /// (lock order: Verifier::blocked_mutex_ before Mailbox::mutex_).
-  /// `done` (optional) is the caller's PostedRecv completion flag,
-  /// registered so poll() can see a direct delivery that beat the wakeup.
-  /// On normal return pred() has been re-evaluated under the lock held
-  /// continuously since, so iterators it cached are valid.
+  /// On normal return pred() holds under `lock`.
   template <class Pred>
   void wait_verified(std::unique_lock<std::mutex>& lock, int src, int tag,
-                     const char* what, const bool* done, Pred&& pred);
+                     const char* what, Pred&& pred);
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::deque<MessageEnvelope> queue_;
-  std::deque<PostedRecv*> posted_;  // waiting blocking receives, FIFO
-  Verifier* verifier_ = nullptr;    // guarded by mutex_
+  Verifier* verifier_ = nullptr;  // guarded by mutex_
   int self_rank_ = -1;
 };
 
@@ -176,19 +128,6 @@ class Fabric {
   BufferPool& pool() { return pool_; }
   BufferPool::Stats pool_stats() const { return pool_.stats(); }
 
-  std::size_t direct_threshold() const {
-    return direct_threshold_.load(std::memory_order_relaxed);
-  }
-  void set_direct_threshold(std::size_t bytes) {
-    direct_threshold_.store(bytes, std::memory_order_relaxed);
-  }
-
-  /// Messages that skipped the intermediate buffer entirely.
-  std::uint64_t direct_deliveries() const {
-    return direct_deliveries_.load(std::memory_order_relaxed);
-  }
-  std::atomic<std::uint64_t>& direct_counter() { return direct_deliveries_; }
-
   /// Collective coordination scratch used by Communicator::split: the
   /// nth split on this fabric uses slot n. Guarded by mutex_.
   struct SplitSlot {
@@ -209,8 +148,6 @@ class Fabric {
   // Declared before the mailboxes: envelopes queued in a mailbox hold
   // pool buffers, so the pool must outlive them at destruction.
   BufferPool pool_;
-  std::atomic<std::size_t> direct_threshold_{kDefaultEagerThreshold};
-  std::atomic<std::uint64_t> direct_deliveries_{0};
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
 
   std::mutex split_mutex_;

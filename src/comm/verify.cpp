@@ -223,7 +223,7 @@ void Verifier::check_orphans() {
 // ------------------------------------------------------ deadlock detection
 
 void Verifier::on_block(int rank, Mailbox* box, int src, int tag,
-                        const char* what, const bool* done) {
+                        const char* what) {
   if (aborted()) throw_aborted();
   const bool coll = in_collective(rank);
   std::lock_guard<std::mutex> lock(blocked_mutex_);
@@ -233,7 +233,6 @@ void Verifier::on_block(int rank, Mailbox* box, int src, int tag,
   op.src = src;
   op.tag = tag;
   op.what = what;
-  op.done = done;
   op.collective = coll;
   op.since = std::chrono::steady_clock::now();
   ++blocked_count_;
@@ -291,23 +290,12 @@ void Verifier::poll() {
   if (aborted()) return;
   const auto now = std::chrono::steady_clock::now();
 
-  // A registered op whose posted receive was already completed by direct
-  // delivery is logically awake — its thread just has not been scheduled
-  // to unregister yet. On an oversubscribed host that descheduling can
-  // outlast the grace period (or even the hard timeout), so such ops
-  // must never count as stuck. Reading the flag takes the mailbox lock
-  // (allowed: blocked_mutex_ -> Mailbox::mutex_).
-  auto satisfied = [](const BlockedOp& op) {
-    return op.box != nullptr && op.done != nullptr &&
-           op.box->posted_done(op.done);
-  };
-
   // Hard watchdog: any receive blocked past the timeout is reported even
   // without a full local cycle (the peer may be stuck on another fabric,
   // or its thread may have died unwinding an exception).
   for (int r = 0; r < fabric_.size(); ++r) {
     const BlockedOp& op = blocked_[static_cast<std::size_t>(r)];
-    if (op.id != 0 && !satisfied(op) && now - op.since >= cfg_.timeout) {
+    if (op.id != 0 && now - op.since >= cfg_.timeout) {
       report_deadlock("timeout");
       return;
     }
@@ -316,10 +304,10 @@ void Verifier::poll() {
   // Cycle check: every rank of the fabric is blocked and none has a
   // deliverable match. Shared-memory delivery makes the edges exact — a
   // completed send is visible in the destination queue before the sender
-  // proceeds — and the direct-delivery window where a posted receive is
-  // done but the receiver has not woken is covered exactly by the
-  // satisfied() flag check below; the grace period then only absorbs the
-  // symmetric window in match()-style waits that post no receive.
+  // proceeds — and a receiver's match stays queued, so the receiver
+  // counts as awake, until it has unregistered. The grace period absorbs
+  // the one wakeup no queue shows: a split waiter released by the last
+  // arriver stays registered until its thread runs.
   if (blocked_count_ != static_cast<std::size_t>(fabric_.size())) {
     cycle_sig_ = 0;
     return;
@@ -329,10 +317,9 @@ void Verifier::poll() {
     const BlockedOp& op = blocked_[static_cast<std::size_t>(r)];
     // Split waiters register with a null mailbox: no message can wake
     // them, so they always count as stuck.
-    if (op.box != nullptr &&
-        (op.box->probe(op.src, op.tag, nullptr) || satisfied(op))) {
-      cycle_sig_ = 0;  // a match is deliverable or already delivered;
-      return;          // this rank will wake
+    if (op.box != nullptr && op.box->probe(op.src, op.tag, nullptr)) {
+      cycle_sig_ = 0;  // a match is deliverable; this rank will wake
+      return;
     }
     sig = sig * 1000003u + op.id;
   }

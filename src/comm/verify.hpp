@@ -95,7 +95,9 @@ class Verifier {
     /// Tick between deadlock polls by blocked threads.
     std::chrono::milliseconds poll{25};
     /// A stable all-ranks-blocked cycle must persist this long before it
-    /// is reported (absorbs the direct-delivery wakeup window).
+    /// is reported (absorbs the one wakeup the registry cannot see: a
+    /// split waiter already released by the last arriver stays registered
+    /// until its thread runs).
     std::chrono::milliseconds grace{250};
     /// Hard watchdog: any single blocked receive older than this is
     /// reported as a deadlock even without a full cycle (catches waits on
@@ -142,12 +144,8 @@ class Verifier {
 
   /// A receive on `box` (owned by `rank`) found no match and is about to
   /// block. Never called with the mailbox lock held. Throws immediately
-  /// when the verifier has already aborted. `done` (optional) points at
-  /// the caller's posted-receive completion flag — poll() reads it via
-  /// Mailbox::posted_done so a receive already satisfied by direct
-  /// delivery (but whose thread has not run yet) is not counted as stuck.
-  void on_block(int rank, Mailbox* box, int src, int tag, const char* what,
-                const bool* done = nullptr);
+  /// when the verifier has already aborted.
+  void on_block(int rank, Mailbox* box, int src, int tag, const char* what);
   void on_unblock(int rank);
 
   /// Periodic deadlock check, run by blocked threads on their wait tick
@@ -194,7 +192,6 @@ class Verifier {
     int src = 0;
     int tag = 0;
     const char* what = "";
-    const bool* done = nullptr;  ///< posted-receive completion flag
     bool collective = false;
     std::chrono::steady_clock::time_point since;
   };

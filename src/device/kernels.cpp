@@ -55,45 +55,6 @@ void trsm_left_lower_unit(Stream& s, long nb, long n, const T* l1, long ldl,
 }
 
 template <typename T>
-void trsv_upper(Stream& s, long n, const T* u, long ldu, T* x) {
-  if (n <= 0) return;
-  const Precision prec = DeviceModel::precision_for_elem(sizeof(T));
-  const double modeled = s.device().model().trsm_seconds(n, 1, prec);
-  s.enqueue_annotated(
-      modeled, "trsv_upper",
-      {span_matrix(u, n, n, ldu, false), span_write(x, static_cast<std::size_t>(n))},
-      [=] {
-        // Right-to-left over diagonal blocks: solve the block sequentially,
-        // then retire its contribution to every row above it. The prefix
-        // update is the engine-parallel part — disjoint row ranges of x
-        // never alias, so they tile like columns do in the data-motion
-        // kernels, and the per-row accumulation order (j ascending within
-        // the block, blocks right-to-left) is fixed regardless of tiling.
-        constexpr long kBlock = 64;
-        for (long j1 = n; j1 > 0; j1 -= kBlock) {
-          const long j0 = std::max<long>(0, j1 - kBlock);
-          // Unblocked solve of the diagonal block (back substitution).
-          for (long j = j1 - 1; j >= j0; --j) {
-            const T* ucol = u + j * ldu;
-            x[j] /= ucol[j];
-            const T t = x[j];
-            for (long i = j0; i < j; ++i) x[i] -= t * ucol[i];
-          }
-          // Prefix update: x[0..j0) -= U(0..j0, j0..j1) · x(j0..j1).
-          if (j0 > 0) {
-            run_column_tiles(j0, [&](long r0, long r1) {
-              for (long j = j0; j < j1; ++j) {
-                const T* ucol = u + j * ldu;
-                const T t = x[j];
-                for (long i = r0; i < r1; ++i) x[i] -= t * ucol[i];
-              }
-            });
-          }
-        }
-      });
-}
-
-template <typename T>
 void trsm_upper(Stream& s, long n, long nrhs, const T* u, long ldu, T* x,
                 long ldx) {
   if (n <= 0 || nrhs <= 0) return;
@@ -103,12 +64,12 @@ void trsm_upper(Stream& s, long n, long nrhs, const T* u, long ldu, T* x,
       modeled, "trsm_upper",
       {span_matrix(u, n, n, ldu, false), span_matrix(x, n, nrhs, ldx, true)},
       [=] {
-        // Same schedule as trsv_upper with an inner RHS-column loop: the
-        // diagonal block solves each column sequentially (identical
-        // per-element order to the vector kernel, so nrhs==1 is bitwise
-        // the trsv path), then the prefix update retires the block's
-        // contribution to every row above it, tiled over disjoint row
-        // ranges that never alias across RHS columns.
+        // Right-to-left over diagonal blocks: the diagonal block solves
+        // each column sequentially (back substitution), then the prefix
+        // update retires the block's contribution to every row above it,
+        // tiled over disjoint row ranges that never alias across RHS
+        // columns. The per-element accumulation order (j ascending within
+        // the block, blocks right-to-left) is fixed regardless of tiling.
         constexpr long kBlock = 64;
         for (long j1 = n; j1 > 0; j1 -= kBlock) {
           const long j0 = std::max<long>(0, j1 - kBlock);
@@ -332,7 +293,6 @@ void row_scatter(Stream& s, T* a, long lda, std::vector<long> rows, long n,
                         const T*, long, T, T*, long);                         \
   template void trsm_left_lower_unit<T>(Stream&, long, long, const T*, long,  \
                                         T*, long);                            \
-  template void trsv_upper<T>(Stream&, long, const T*, long, T*);             \
   template void trsm_upper<T>(Stream&, long, long, const T*, long, T*, long); \
   template void copy_h2d<T>(Stream&, T*, const T*, std::size_t);              \
   template void copy_d2h<T>(Stream&, T*, const T*, std::size_t);              \

@@ -49,25 +49,17 @@ template <typename T>
 void trsm_left_lower_unit(Stream& s, long nb, long n, const T* l1, long ldl,
                           T* u, long ldu);
 
-/// Solve U·x = b in place (x overwrites b), U an n×n non-unit upper
-/// triangle read directly from device memory: backsolve's diagonal-block
-/// stage without the d2h staging copy. Blocked right-to-left: each
-/// diagonal block solves sequentially, then the prefix update
-/// x[0..j0) -= U(0..j0, j0..j1)·x(j0..j1) fans its disjoint row ranges
-/// out over the column-tiled engine. Bitwise identical for every tile
-/// width and team size (each x[i] is written by exactly one tile, inner
-/// accumulation order fixed).
-template <typename T>
-void trsv_upper(Stream& s, long n, const T* u, long ldu, T* x);
-
-/// Multi-RHS generalization of trsv_upper: solve U·X = B in place over an
-/// n×nrhs column-major RHS panel X (ld = ldx), U an n×n non-unit upper
-/// triangle in device memory. Same blocked right-to-left structure — each
-/// diagonal block back-substitutes every RHS column sequentially, then the
-/// prefix update X[0..j0, :] -= U(0..j0, j0..j1)·X(j0..j1, :) fans out over
-/// the column-tiled engine. Bitwise identical for every tile width and
-/// team size, and bitwise identical to trsv_upper per column when nrhs==1
-/// (same per-element accumulation order).
+/// Solve U·X = B in place over an n×nrhs column-major RHS panel X
+/// (ld = ldx), U an n×n non-unit upper triangle read directly from device
+/// memory: the backsolve's diagonal-block stage without a d2h staging
+/// copy, and with nrhs = 1 the vector solve of backsolve and refinement.
+/// Blocked right-to-left: each diagonal block back-substitutes every RHS
+/// column sequentially, then the prefix update
+/// X[0..j0, :] -= U(0..j0, j0..j1)·X(j0..j1, :) fans its disjoint row
+/// ranges out over the column-tiled engine. Bitwise identical for every
+/// tile width and team size (each X element is written by exactly one
+/// tile, inner accumulation order fixed), and each column is solved the
+/// same way whatever nrhs is.
 template <typename T>
 void trsm_upper(Stream& s, long n, long nrhs, const T* u, long ldu, T* x,
                 long ldx);

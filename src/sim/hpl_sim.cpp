@@ -33,13 +33,17 @@ class IterationModel {
 
   // --------------------------------------------------- phase primitives
 
-  /// Trailing DGEMM + DTRSM on `cols` local columns with `m` local
-  /// trailing rows.
+  /// DTRSM on the U rows of `cols` local columns, plus the trailing DGEMM
+  /// when there are `m` > 0 local trailing rows (a rank without any still
+  /// updates its U rows).
   double update_seconds(double m, double cols) const {
-    if (m <= 0 || cols <= 0) return 0.0;
+    if (cols <= 0) return 0.0;
+    const double gemm =
+        m > 0 ? node_.gcd.gemm_seconds(static_cast<long>(m),
+                                       static_cast<long>(cols), cfg_.nb, prec_)
+              : 0.0;
     return (1.0 + node_.gpu_sync_overhead) *
-           (node_.gcd.gemm_seconds(static_cast<long>(m),
-                                   static_cast<long>(cols), cfg_.nb, prec_) +
+           (gemm +
             node_.gcd.trsm_seconds(cfg_.nb, static_cast<long>(cols), prec_));
   }
 

@@ -125,9 +125,9 @@ TEST(AllgathervRing, RandomLayoutsAssembleExactly) {
 }
 
 TEST(AllgathervRing, SegmentsBeyondEagerThresholdAssemble) {
-  // A row-swap U segment is nb x nloc elements, far above the fabric's
-  // eager threshold: whole segments of that size travel by direct
-  // delivery and must assemble exactly next to small and empty ones.
+  // A row-swap U segment is nb x nloc elements, hundreds of KiB: whole
+  // segments of that size travel through pooled buffers like every
+  // message and must assemble exactly next to small and empty ones.
   const int ranks = 4;
   World::run(ranks, [&](Communicator& comm) {
     const int me = comm.rank();

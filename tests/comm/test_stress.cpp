@@ -174,43 +174,45 @@ TEST(CommStress, PoolRecyclesUnderSteadyTraffic) {
   });
 }
 
-TEST(CommStress, LargeMessagesBypassTheEagerCopy) {
-  // A receive posted before a large send arrives must be filled directly
-  // (single copy), visible as a direct-delivery count on the fabric.
-  World::run(2, [](Communicator& comm) {
-    const std::size_t big = comm.fabric().direct_threshold() * 2;
+TEST(CommStress, PostedLargeReceiveIsFilledThroughThePool) {
+  // Delivery has one path: a 64 KiB receive posted before its send
+  // arrives is still filled by a copy out of exactly one pooled buffer.
+  constexpr std::size_t big = 64 * 1024;
+  std::uint64_t before = 0;
+  std::uint64_t after = 0;
+  World::run(2, [&](Communicator& comm) {
     std::vector<char> buf(big);
     if (comm.rank() == 0) {
       char ack = 0;
       comm.recv(&ack, 1, 1, 1);
-      // Give the receiver time to post its blocking receive; correctness
-      // does not depend on winning this race, only the stat check does,
-      // and the final barrier keeps the check well ordered.
+      // Give the receiver time to post its blocking receive.
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
       for (std::size_t i = 0; i < big; ++i)
         buf[i] = static_cast<char>(i * 31 + 7);
+      before = comm.fabric().pool_stats().acquires;
       comm.send_bytes(buf.data(), big, 1, 2);
+      comm.recv(&ack, 1, 1, 3);  // `after` is read before this arrives
+      EXPECT_EQ(after - before, 1u);
     } else {
       char ack = 1;
       comm.send(&ack, 1, 0, 1);
       comm.recv_bytes(buf.data(), big, 0, 2);
+      after = comm.fabric().pool_stats().acquires;
+      comm.send(&ack, 1, 0, 3);
       for (std::size_t i = 0; i < big; ++i)
         ASSERT_EQ(buf[i], static_cast<char>(i * 31 + 7));
     }
-    barrier(comm);
-    if (comm.rank() == 0)
-      EXPECT_GE(comm.fabric().direct_deliveries(), 1u);
   });
 }
 
 TEST(CommStress, LargeMessageCyclesCannotDeadlock) {
-  // Every rank sends a larger-than-threshold message around a ring before
-  // receiving: with blocking-rendezvous semantics this cycle would hang;
-  // the eager fallback must absorb it.
+  // Every rank sends a large message around a ring before receiving: with
+  // blocking-rendezvous semantics this cycle would hang; eager delivery
+  // must absorb it.
   const int ranks = 4;
   World::run(ranks, [&](Communicator& comm) {
     const int me = comm.rank();
-    const std::size_t big = comm.fabric().direct_threshold() + 1024;
+    const std::size_t big = 64 * 1024 + 1024;
     for (int round = 0; round < 5; ++round) {
       std::vector<char> out(big, static_cast<char>(me + round));
       std::vector<char> in(big);
@@ -222,9 +224,8 @@ TEST(CommStress, LargeMessageCyclesCannotDeadlock) {
   });
 }
 
-TEST(CommStress, ThresholdZeroForcesDirectWhereverPossible) {
+TEST(CommStress, RepeatedPingPongKeepsPayloads) {
   World::run(2, [](Communicator& comm) {
-    comm.fabric().set_direct_threshold(0);
     const int me = comm.rank();
     for (int round = 0; round < 20; ++round) {
       std::vector<double> buf(64, me * 1.5 + round);

@@ -295,16 +295,16 @@ TEST(CommVerify, LoneBlockedReceiveHitsTheHardTimeout) {
 
 TEST(CommVerify, SymmetricSendrecvExchangeCannotDeadlock) {
   // Pins the contract sendrecv's documentation promises: the send half
-  // completes before the receive starts even when both payloads exceed
-  // the direct-delivery threshold (no receive is posted yet on either
-  // side), so a symmetric exchange is deadlock-free. The tight verifier
-  // knobs turn a regression into a fast abort instead of a hang.
+  // completes before the receive starts even for 256 KiB payloads (the
+  // send is buffered eagerly, with no receive posted on either side), so
+  // a symmetric exchange is deadlock-free. The tight verifier knobs turn
+  // a regression into a fast abort instead of a hang.
   std::shared_ptr<Verifier> v;
   World::run(2, [&](Communicator& comm) {
     comm.fabric().enable_verifier(fast_config());
     if (comm.rank() == 0) v = comm.fabric().verifier_shared();
     const int peer = 1 - comm.rank();
-    const std::size_t n = (256 * 1024) / sizeof(double);  // >> eager cutoff
+    const std::size_t n = (256 * 1024) / sizeof(double);
     std::vector<double> out(n, comm.rank() + 1.0);
     std::vector<double> in(n, 0.0);
     comm.sendrecv(out.data(), out.size(), peer, 9, in.data(), in.size(),
